@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_FIELD_GRID
+from .config import DEFAULT_FIELD_GRID, read_key_values
 from .energy import (energy, graph_energy, isoperimetric_compare,
                      lamella_closed_form, strip_disc_crossing,
                      volume_corrected_perturbation)
@@ -42,20 +42,6 @@ def _apply_thread_cap():
             os.environ.setdefault(var, n)
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("["):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ValidationError(f"bad config line: {line!r}")
-            cfg[key.strip()] = val.strip()
-    return cfg
-
-
 def _find_subparser(parser: argparse.ArgumentParser, command: str):
     for act in parser._actions:
         if isinstance(act, argparse._SubParsersAction):
@@ -63,22 +49,19 @@ def _find_subparser(parser: argparse.ArgumentParser, command: str):
     raise ValidationError("no subcommands registered")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fold --config key=value pairs into unset CLI options; unknown keys
-    are rejected, values are coerced with the option's declared type."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _load_config(args.config)
+def _set_config_defaults(args: argparse.Namespace,
+                         parser: argparse.ArgumentParser):
+    """Make the --config key=value pairs defaults of the subcommand, so a
+    re-parse applies them unless the flag is given on the command line.
+    Unknown keys are rejected; argparse coerces each value with the
+    option's declared type."""
     sub = _find_subparser(parser, args.command)
-    actions = {a.dest: a for a in sub._actions}
-    for key, val in cfg.items():
+    dests = {a.dest for a in sub._actions}
+    for key, val in read_key_values(args.config).items():
         dest = key.replace("-", "_")
-        if dest not in actions:
+        if dest not in dests:
             raise ValidationError(f"unknown config key {key!r}")
-        if getattr(args, dest, None) is None:
-            conv = actions[dest].type or str
-            setattr(args, dest, conv(val))
-    return args
+        sub.set_defaults(**{dest: val})
 
 
 def _write_csv(path: str | None, provenance: dict, header: str, rows):
@@ -385,7 +368,9 @@ def dispatch(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         _apply_thread_cap()
-        args = _merge_config(args, parser)
+        if args.config:
+            _set_config_defaults(args, parser)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT_AXIS_GRID, DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
 from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
@@ -231,6 +230,8 @@ def isoperimetric_compare(m: float, dim: int):
 
 def strip_disc_crossing() -> float:
     """|m| at which the strip and disc perimeters coincide in T^2."""
+    from scipy.optimize import brentq   # keeps scipy.optimize out of import okstab
+
     def diff(m):
         rows, _ = isoperimetric_compare(m, 2)
         per = {r["name"]: r["perimeter"] for r in rows}

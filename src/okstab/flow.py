@@ -144,10 +144,7 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
             raise NumericalError("mass drifted beyond tolerance")
         if stop_tol > 0 and state.step % 25 == 0 \
                 and flow_residual(state) <= stop_tol:
-            return state
-    if stop_tol > 0 and flow_residual(state) > stop_tol:
-        state.energy_history.append(
-            (state.step, state.time, state.energy))
+            break
     return state
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import TOLERANCES, read_key_values
 from .torus import (ScalarField, TorusGrid, ValidationError, make_grid)
 
 
@@ -648,15 +648,7 @@ def record_to_shape(rec: dict) -> ShapeConfig:
 
 
 def load_shape(path: str) -> ShapeConfig:
-    rec = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("["):
-                continue
-            key, _, val = line.partition("=")
-            rec[key.strip()] = val.strip()
-    return record_to_shape(rec)
+    return record_to_shape(read_key_values(path))
 
 
 def save_shape(shape: ShapeConfig, path: str):

@@ -2,24 +2,25 @@
 
 Exact per-lateral-mode matrices for lamellae, dense boundary-element
 assembly for discretized curves in T^2, constrained eigenanalysis with the
-translation directions projected out, bisection thresholds in gamma and in
-the strip count, and finite-difference validation of the form against the
-full energy.
+translation directions projected out, thresholds in gamma and in the strip
+count, and finite-difference validation of the form against the full
+energy.  The lamella mode matrix is linear in gamma,
+M(q) = 4 pi^2 q^2 I + gamma A(q), so one scan over the eigenpairs of the
+gamma-free A(q) gives both the minimal eigenvalue at any gamma and the
+threshold gamma_c in closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.optimize import brentq
 
 from .config import DEFAULT_FIELD_GRID, TOLERANCES
 from .energy import graph_energy, volume_corrected_perturbation
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
-                     rasterize)
+                     periodic_derivative, rasterize)
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     green2d_self_regularized, green_function_2d,
                     green_kernel_screened, make_grid, solve_poisson_periodic,
@@ -34,9 +35,9 @@ from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
 class LamellaModeMatrix:
     """Per-lateral-mode second-variation matrix over interface amplitudes.
 
-    M(q) = 4 pi^2 q^2 I + 8 gamma K(q) + 4 gamma diag(dnv), where K(q) is
-    the screened circle kernel sampled at interface separations and dnv is
-    the outward normal derivative of the lamella potential (equal to
+    M(q) = 4 pi^2 q^2 I + gamma A(q) with A(q) = 8 K(q) + 4 diag(dnv), where
+    K(q) is the screened circle kernel sampled at interface separations and
+    dnv is the outward normal derivative of the lamella potential (equal to
     -a(1-a)/k at every interface).
     """
     q: int
@@ -49,17 +50,22 @@ class LamellaModeMatrix:
             raise NumericalError("mode matrix lost symmetry")
 
 
-def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
+def _lamella_nonlocal_block(k: int, m: float, q: int):
+    """(A(q), K(q), dnv): the gamma-free part A(q) = 8 K(q) + 4 dnv I of
+    the mode matrix, with its kernel and potential ingredients."""
     if q < 0:
         raise ValidationError("q must be nonnegative")
     shape = Lamella(k=k, m=m, axis=0, dim=1)
     pos, _ = shape.interfaces()
-    sep = pos[:, None] - pos[None, :]
-    K = green_kernel_screened(q, sep)
+    K = green_kernel_screened(q, pos[:, None] - pos[None, :])
     dnv = -shape.a * (1.0 - shape.a) / k
-    M = 8.0 * gamma * K + 4.0 * gamma * dnv * np.eye(2 * k)
-    M += 4.0 * np.pi**2 * q**2 * np.eye(2 * k)
-    M = 0.5 * (M + M.T)
+    A = 8.0 * K + 4.0 * dnv * np.eye(2 * k)
+    return 0.5 * (A + A.T), K, dnv
+
+
+def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
+    A, K, dnv = _lamella_nonlocal_block(k, m, q)
+    M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * A
     return LamellaModeMatrix(q, M, K, dnv)
 
 
@@ -79,67 +85,65 @@ class StabilityReport:
     scan: dict = field(default_factory=dict)
 
 
-def lamella_min_eigenvalue(k: int, m: float, gamma: float,
-                           q_max: int | None = None) -> StabilityReport:
+def _mode_scan(k: int, m: float, value):
+    """Minimize value(q, mu(q)) over lateral modes q >= 1, with mu(q) the
+    lowest eigenvalue of A(q).
+
+    value must be nondecreasing in mu and in q.  Every eigenvalue of A(q')
+    for q' > q is at least the Gershgorin bound -16 k g_{q+1}(0) + 4 dnv
+    (g_q(0) decreases in q), so the scan stops once value at that bound
+    exceeds the best so far.  Returns (best value, q, mu, eigenvector,
+    last q scanned).
+    """
+    a = 0.5 * (m + 1.0)
+    best = (np.inf, None, None, None)
+    q = 1
+    while True:
+        w, V = np.linalg.eigh(_lamella_nonlocal_block(k, m, q)[0])
+        f = value(q, float(w[0]))
+        if f < best[0]:
+            best = (f, q, float(w[0]), V[:, 0])
+        bound = (-16.0 * k * green_kernel_screened(q + 1, 0.0)
+                 - 4.0 * a * (1.0 - a) / k)
+        if value(q + 1, bound) > best[0]:
+            return (*best, q)
+        q += 1
+
+
+def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
     """Minimum over lateral modes q >= 1 of the eigenvalues of M(q).
 
     The q = 0 block carries only the translation and volume directions
     (amplitudes constant per interface), which are excluded from the
-    admissible class, so it does not enter the minimum.  The scan extends
-    until the Gershgorin lower bound of M(q) exceeds the best minimum.
+    admissible class, so it does not enter the minimum.  M(q) and A(q)
+    share eigenvectors, so the minimum is that of 4 pi^2 q^2 + gamma mu(q).
     """
-    a = 0.5 * (m + 1.0)
-    best = np.inf
-    best_q = None
-    best_vec = None
-    q = 1
-    hard_cap = 100_000
-    while True:
-        mm = lamella_mode_matrix(k, m, gamma, q)
-        w, V = np.linalg.eigh(mm.matrix)
-        if w[0] < best:
-            best = float(w[0])
-            best_q = q
-            best_vec = V[:, 0]
-        # all eigenvalues of M(q') for q' > q exceed this bound
-        bound = (4.0 * np.pi**2 * (q + 1) ** 2
-                 - 8.0 * gamma * 2 * k * green_kernel_screened(q + 1, 0.0)
-                 - 4.0 * gamma * a * (1.0 - a) / k)
-        done = bound > best and (q_max is None or q >= q_max)
-        if q_max is not None and q >= q_max and not done:
-            # honor the requested cap but keep going until the bound closes
-            done = bound > best
-        if done or q >= hard_cap:
-            break
-        q += 1
-    if q >= hard_cap:
-        raise NumericalError("mode scan failed to close")
-    return StabilityReport(best, best_q, best_vec,
-                           scan={"q_scanned": q, "k": k, "m": m, "gamma": gamma})
+    if not 0.0 <= gamma < np.inf:
+        raise ValidationError("gamma must be finite and nonnegative")
+    best, q, _, vec, q_scanned = _mode_scan(
+        k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 + gamma * mu)
+    return StabilityReport(best, q, vec,
+                           scan={"q_scanned": q_scanned, "k": k, "m": m,
+                                 "gamma": gamma})
 
 
 def stability_threshold_gamma(m: float, k: int,
                               gamma_max: float = 1e6) -> StabilityReport:
-    """Bisection threshold gamma_c: sign change of the minimal eigenvalue.
+    """Threshold gamma_c = min over q with mu(q) < 0 of 4 pi^2 q^2 / -mu(q).
 
+    M(q) is linear in gamma, so mode q turns unstable exactly there.
     Returns gamma_c = None when the lamella stays stable up to gamma_max.
     """
-    def f(g):
-        return lamella_min_eigenvalue(k, m, g).min_eigenvalue
-
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0:
-        lo, hi = hi, 2.0 * hi
-        if hi > gamma_max:
-            rep = lamella_min_eigenvalue(k, m, gamma_max)
-            rep.gamma_c = None
-            rep.scan["status"] = "stable throughout range"
-            return rep
-    gc = brentq(f, lo, hi, xtol=TOLERANCES.threshold_bisect)
-    rep = lamella_min_eigenvalue(k, m, float(gc))
-    rep.gamma_c = float(gc)
-    rep.scan["bracket"] = (lo, hi)
-    return rep
+    gc, q, mu, vec, q_scanned = _mode_scan(
+        k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 / -mu if mu < 0 else np.inf)
+    if gc > gamma_max:
+        rep = lamella_min_eigenvalue(k, m, gamma_max)
+        rep.scan["status"] = "stable throughout range"
+        return rep
+    return StabilityReport(4.0 * np.pi**2 * q**2 + gc * mu, q, vec,
+                           gamma_c=gc,
+                           scan={"q_scanned": q_scanned, "k": k, "m": m,
+                                 "gamma": gc})
 
 
 def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:
@@ -191,16 +195,6 @@ class QuadraticFormMatrix:
         return float(phi @ self.matrix @ phi)
 
 
-def _spectral_derivative_matrix(n: int) -> np.ndarray:
-    # d/dt on n uniform nodes of the unit-period circle
-    eye = np.eye(n)
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(eye, axis=0) * (2j * np.pi * k)[:, None]
-    if n % 2 == 0:
-        spec[-1] = 0.0
-    return np.fft.irfft(spec, n=n, axis=0).T
-
-
 def _log_quadrature_block(n: int) -> np.ndarray:
     """Trig-exact quadrature of the periodic log kernel.
 
@@ -236,7 +230,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float,
     H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
-        Dt = _spectral_derivative_matrix(nc)
+        Dt = periodic_derivative(np.eye(nc))
         Dtau = Dt / mesh.speeds[i0:i1][:, None]
         block = Dtau.T @ np.diag(W[i0:i1]) @ Dtau
         if nc % 2 == 0:

@@ -320,28 +320,6 @@ def neumann_dirichlet_energy(v: ScalarField) -> float:
     return float(np.sum(_neumann_eigs(v.grid) * vh**2) / ntot)
 
 
-def neumann_boundary_flux(v: ScalarField) -> float:
-    """Total |flux| of the cosine interpolant through the box boundary.
-
-    The normal derivative of each cosine mode vanishes at the walls; this
-    evaluates the one-sided spectral derivative at every wall and sums
-    |dv/dn| ds, so it measures how far the computed field is from an even
-    extension.
-    """
-    vals = v.values
-    total = 0.0
-    for axis in range(v.grid.dim):
-        vh = sfft.dct(np.moveaxis(vals, axis, -1), type=2, norm="ortho", axis=-1)
-        n = v.grid.sizes[axis]
-        k = np.arange(n, dtype=float)
-        # derivative of cos(pi k x) at x=0 and x=1 is 0; evaluate the sine series
-        dv0 = np.sum(vh * (-np.pi * k) * np.sin(np.pi * k * 0.0), axis=-1)
-        dv1 = np.sum(vh * (-np.pi * k) * np.sin(np.pi * k * 1.0), axis=-1)
-        area = v.grid.cell_volume * v.grid.sizes[axis]
-        total += (np.abs(dv0).sum() + np.abs(dv1).sum()) * area / max(dv0.size, 1)
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # field snapshot format
 # ---------------------------------------------------------------------------

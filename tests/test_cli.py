@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +52,22 @@ def test_config_file_merge(tmp_path):
     assert "# k=1" in open(out).read()
 
 
+def test_config_value_applies_unless_flag_given(tmp_path):
+    cfg = os.path.join(str(tmp_path), "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("k=3\ngamma=2.5\n")
+    rc, out = _run(tmp_path, ["energy", "--shape", "lamella",
+                              "--config", cfg])
+    assert rc == 0
+    text = open(out).read()
+    assert "# k=3\n" in text and "# gamma=2.5\n" in text
+    rc, out = _run(tmp_path, ["energy", "--shape", "lamella",
+                              "--config", cfg, "--k", "2"], "b.csv")
+    assert rc == 0
+    text = open(out).read()
+    assert "# k=2\n" in text and "# gamma=2.5\n" in text
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = os.path.join(str(tmp_path), "bad.cfg")
     with open(cfg, "w") as fh:
@@ -72,6 +90,26 @@ def test_alpha_matches_library(tmp_path):
     want, _ = alpha_distance(rasterize(lamella(1, 0.0), g),
                              rasterize(lamella(2, 0.2), g))
     assert got == want
+
+
+def test_alpha_malformed_shape_file(tmp_path, capsys):
+    pa = os.path.join(str(tmp_path), "a.shape")
+    pb = os.path.join(str(tmp_path), "b.shape")
+    save_shape(lamella(1, 0.0), pa)
+    with open(pb, "w") as fh:
+        fh.write("kind=droplet\ncenter=0.5,0.5\nradius 0.2\n")
+    assert dispatch(["alpha", "--a", pa, "--b", pb, "--grid", "32"]) == 1
+    assert "'radius 0.2'" in capsys.readouterr().err
+
+
+def test_import_leaves_out_scipy_optimize():
+    import okstab
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
+    code = "import sys, okstab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_iso_compare_flags_minimum(tmp_path):

@@ -34,6 +34,17 @@ def test_mass_conserved_exactly():
     assert abs(st.u.mean() - m0) < 1e-13
 
 
+def test_unconverged_history_has_one_row_per_step():
+    rng = np.random.default_rng(2)
+    g = make_grid(2, (32, 32))
+    u0 = ScalarField(g, 0.8 * np.tanh(rng.standard_normal(g.sizes)))
+    st = run_flow(u0, epsilon=0.1, gamma0=5.0, dt=1e-4, max_steps=5,
+                  stop_tol=1e-12)
+    steps = [row[0] for row in st.energy_history]
+    assert steps == list(range(st.step + 1))
+    assert len(st.energy_history) == st.step + 1 == 6
+
+
 def test_energy_monotone_decrease():
     rng = np.random.default_rng(1)
     g = make_grid(2, (64, 64))

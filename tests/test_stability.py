@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,43 @@ def test_threshold_gamma_regression():
             lamella_mode_matrix(1, 0.0, gamma, q).matrix)[0]
             for q in range(1, 21))
         assert np.sign(worst) == sign
+
+
+def _dense_min_eig(k, m, gamma):
+    """min over q >= 1 of eigvalsh(M(q)), scanning until a Gershgorin bound
+    from the closed-form kernel peak g_q(0) = 1 / (2 lam tanh(lam / 2)),
+    lam = 2 pi q, shows every later mode lies above the minimum."""
+    a = 0.5 * (m + 1.0)
+    best, q = math.inf, 1
+    while True:
+        M = lamella_mode_matrix(k, m, gamma, q).matrix
+        best = min(best, float(np.linalg.eigvalsh(M)[0]))
+        lam = 2.0 * math.pi * (q + 1)
+        g0 = 1.0 / (2.0 * lam * math.tanh(0.5 * lam))
+        if (4.0 * math.pi**2 * (q + 1) ** 2 - 16.0 * gamma * k * g0
+                - 4.0 * gamma * a * (1.0 - a) / k) > best:
+            return best
+        q += 1
+
+
+def test_threshold_gamma_large():
+    # gamma_c beyond 2^19 is found up to gamma_max = 1e6
+    gc = {k: stability_threshold_gamma(0.0, k).gamma_c for k in (23, 27, 28)}
+    assert gc[23] == pytest.approx(585105.58, abs=0.01)
+    assert gc[27] == pytest.approx(946063.08, abs=0.01)
+    assert gc[28] is None
+    for k in (23, 27):
+        assert _dense_min_eig(k, 0.0, gc[k] - 1e-3) > 0
+        assert _dense_min_eig(k, 0.0, gc[k] + 1e-3) < 0
+
+
+def test_min_eigenvalue_matches_dense():
+    for (k, m, gamma) in [(1, 0.0, 50.0), (3, -0.2, 300.0), (8, 0.3, 4e3)]:
+        want = _dense_min_eig(k, m, gamma)
+        got = lamella_min_eigenvalue(k, m, gamma).min_eigenvalue
+        assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValidationError):
+        lamella_min_eigenvalue(1, 0.0, -1.0)
 
 
 def test_threshold_gamma_monotone_in_k():
