@@ -3,6 +3,10 @@ phase-field flow for periodic two-phase configurations."""
 
 __version__ = "0.1.0"
 
+from . import config
+
+config.apply_thread_cap()   # before the first numpy import below
+
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     dirichlet_energy, green_function_2d, green_kernel_screened,
                     load_field, make_grid, save_field, solve_poisson_neumann,

@@ -10,7 +10,6 @@ error / bad usage, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -28,18 +27,6 @@ from .stability import (finite_difference_check, lamella_min_eigenvalue,
                         stability_threshold_gamma, stability_threshold_k)
 from .energy import el_residual
 from .torus import NumericalError, ScalarField, ValidationError, make_grid
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("OKSTAB_THREADS")
-    if cap:
-        try:
-            n = str(max(1, int(cap)))
-        except ValueError:
-            raise ValidationError("OKSTAB_THREADS must be an integer")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 def _find_subparser(parser: argparse.ArgumentParser, command: str):
@@ -367,7 +354,6 @@ def dispatch(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        _apply_thread_cap()
         if args.config:
             _set_config_defaults(args, parser)
             args = parser.parse_args(argv)

@@ -1,12 +1,24 @@
-"""Centralized numerical tolerances, solver defaults and the flat
-`key=value` file reader.
+"""Centralized numerical tolerances, solver defaults, the package's error
+types, the `OKSTAB_THREADS` cap and the flat `key=value` file reader.
 
 All modules read their tolerance constants from a single TOLERANCES record
 so that accuracy contracts live in one place.  `read_key_values` parses
-both `--config` files and shape description files.
+both `--config` files and shape description files.  This module imports no
+numpy, so the package applies the thread cap from here before numpy loads.
 """
 
+import os
+import sys
+import warnings
 from dataclasses import dataclass
+
+
+class ValidationError(ValueError):
+    """Raised on invalid inputs (bad shapes, grids, parameters)."""
+
+
+class NumericalError(RuntimeError):
+    """Raised on numerical failure (non-convergence, lost accuracy)."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,6 @@ def read_key_values(path: str) -> dict:
     Blank lines and lines starting with `#` or `[` are skipped; any other
     line without `=` is rejected, naming the line.
     """
-    from .torus import ValidationError   # torus imports this module
     rec = {}
     with open(path) as fh:
         for line in fh:
@@ -56,3 +67,27 @@ def read_key_values(path: str) -> dict:
                 raise ValidationError(f"bad key=value line in {path}: {line!r}")
             rec[key.strip()] = val.strip()
     return rec
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def apply_thread_cap():
+    """Cap BLAS/OpenMP threads at $OKSTAB_THREADS, if set.
+
+    The libraries read their variables once, when numpy loads them, so the
+    package calls this before its first numpy import.  A variable that is
+    already set wins; a cap that can no longer act is reported.
+    """
+    cap = os.environ.get("OKSTAB_THREADS")
+    if not cap:
+        return
+    if not cap.isdigit() or int(cap) < 1:
+        raise ValidationError(
+            f"OKSTAB_THREADS must be a positive integer, got {cap!r}")
+    unset = [var for var in THREAD_VARS if var not in os.environ]
+    if unset and "numpy" in sys.modules:
+        warnings.warn("OKSTAB_THREADS has no effect: numpy was imported "
+                      "before okstab", RuntimeWarning)
+    for var in unset:
+        os.environ[var] = cap

@@ -636,14 +636,27 @@ def shape_to_record(shape: ShapeConfig) -> dict:
 
 
 def record_to_shape(rec: dict) -> ShapeConfig:
+    """Shape from a record; a missing key or a value that is not a number
+    is rejected with a ValidationError naming the key."""
+    def value(key, cast=float, default=None):
+        if key not in rec and default is None:
+            raise ValidationError(f"shape record has no {key!r}")
+        val = rec.get(key, default)
+        try:
+            return cast(val)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"bad value for shape key {key!r}: {val!r}") from None
+
     kind = rec.get("kind")
     if kind == "lamella":
-        return Lamella(k=int(rec["k"]), m=float(rec["m"]),
-                       axis=int(rec.get("axis", -1)), dim=int(rec.get("dim", 2)))
+        return Lamella(k=value("k", int), m=value("m"),
+                       axis=value("axis", int, -1), dim=value("dim", int, 2))
     if kind == "droplet":
-        center = tuple(float(c) for c in str(rec["center"]).split(","))
-        return Droplet(center=center, radius=float(rec["radius"]),
-                       dim=int(rec.get("dim", len(center))))
+        center = value("center",
+                       lambda s: tuple(float(c) for c in str(s).split(",")))
+        return Droplet(center=center, radius=value("radius"),
+                       dim=value("dim", int, len(center)))
     raise ValidationError(f"unknown shape kind {kind!r}")
 
 

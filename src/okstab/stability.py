@@ -5,9 +5,12 @@ assembly for discretized curves in T^2, constrained eigenanalysis with the
 translation directions projected out, thresholds in gamma and in the strip
 count, and finite-difference validation of the form against the full
 energy.  The lamella mode matrix is linear in gamma,
-M(q) = 4 pi^2 q^2 I + gamma A(q), so one scan over the eigenpairs of the
-gamma-free A(q) gives both the minimal eigenvalue at any gamma and the
-threshold gamma_c in closed form.
+M(q) = 4 pi^2 q^2 I + gamma A(q), so one scan over the lowest eigenpairs of
+the gamma-free A(q) gives both the minimal eigenvalue at any gamma and the
+threshold gamma_c in closed form.  A shift by 1/k maps the lamella onto
+itself, so A(q) splits into k Hermitian 2x2 Bloch blocks given by one
+length-k FFT; the dense M(q) serves lamella_form_value and is the reference
+the scan is tested against.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ class LamellaModeMatrix:
             raise NumericalError("mode matrix lost symmetry")
 
 
-def _lamella_nonlocal_block(k: int, m: float, q: int):
-    """(A(q), K(q), dnv): the gamma-free part A(q) = 8 K(q) + 4 dnv I of
-    the mode matrix, with its kernel and potential ingredients."""
+def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
+    """Dense M(q) = 4 pi^2 q^2 I + gamma A(q), A(q) = 8 K(q) + 4 dnv I; the
+    mode scan works on the Bloch blocks of A(q) and is checked against it."""
     if q < 0:
         raise ValidationError("q must be nonnegative")
     shape = Lamella(k=k, m=m, axis=0, dim=1)
@@ -60,12 +63,7 @@ def _lamella_nonlocal_block(k: int, m: float, q: int):
     K = green_kernel_screened(q, pos[:, None] - pos[None, :])
     dnv = -shape.a * (1.0 - shape.a) / k
     A = 8.0 * K + 4.0 * dnv * np.eye(2 * k)
-    return 0.5 * (A + A.T), K, dnv
-
-
-def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
-    A, K, dnv = _lamella_nonlocal_block(k, m, q)
-    M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * A
+    M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * (0.5 * (A + A.T))
     return LamellaModeMatrix(q, M, K, dnv)
 
 
@@ -85,27 +83,47 @@ class StabilityReport:
     scan: dict = field(default_factory=dict)
 
 
+def _bloch_blocks(k: int, a: float, q: int):
+    """(alpha_p, beta_p), p < k: K(q) is block-circulant (a 1/k shift maps
+    the interfaces i/k, (i+a)/k onto themselves), so a DFT over the strip
+    index d splits it into blocks [[alpha_p, beta_p], [conj beta_p, alpha_p]]."""
+    d = np.arange(k)
+    alpha, beta = np.fft.fft(green_kernel_screened(q, np.array([d, d + a]) / k))
+    return alpha.real, beta   # g_q is even, so alpha is real
+
+
+def _bloch_vector(k: int, p: int, beta: complex) -> np.ndarray:
+    """Real unit eigenvector of K(q) for alpha_p - |beta_p|: Re of the Bloch
+    wave e^{-2 pi i p i/k} (1, -conj beta_p/|beta_p|), first entry positive."""
+    phase = np.exp(-2j * np.pi * p * np.arange(k) / k)
+    v = np.real(np.outer(phase, [1.0, -np.exp(-1j * np.angle(beta))])).ravel()
+    return v / np.linalg.norm(v)
+
+
 def _mode_scan(k: int, m: float, value):
     """Minimize value(q, mu(q)) over lateral modes q >= 1, with mu(q) the
-    lowest eigenvalue of A(q).
+    lowest eigenvalue of A(q), 8 min_p (alpha_p - |beta_p|) + 4 dnv.
 
     value must be nondecreasing in mu and in q.  Every eigenvalue of A(q')
     for q' > q is at least the Gershgorin bound -16 k g_{q+1}(0) + 4 dnv
     (g_q(0) decreases in q), so the scan stops once value at that bound
-    exceeds the best so far.  Returns (best value, q, mu, eigenvector,
-    last q scanned).
+    exceeds the best so far.  Returns (best value, q, mu, Bloch index p,
+    eigenvector, last q scanned).
     """
-    a = 0.5 * (m + 1.0)
-    best = (np.inf, None, None, None)
+    a = Lamella(k=k, m=m, axis=0, dim=1).a
+    dnv = -a * (1.0 - a) / k
+    best = (np.inf, None, None, None, None)
     q = 1
     while True:
-        w, V = np.linalg.eigh(_lamella_nonlocal_block(k, m, q)[0])
-        f = value(q, float(w[0]))
+        alpha, beta = _bloch_blocks(k, a, q)
+        low = alpha - np.abs(beta)
+        p = int(np.argmin(low))
+        mu = 8.0 * float(low[p]) + 4.0 * dnv
+        f = value(q, mu)
         if f < best[0]:
-            best = (f, q, float(w[0]), V[:, 0])
-        bound = (-16.0 * k * green_kernel_screened(q + 1, 0.0)
-                 - 4.0 * a * (1.0 - a) / k)
-        if value(q + 1, bound) > best[0]:
+            best = (f, q, mu, p, _bloch_vector(k, p, beta[p]))
+        if value(q + 1, -16.0 * k * green_kernel_screened(q + 1, 0.0)
+                 + 4.0 * dnv) > best[0]:
             return (*best, q)
         q += 1
 
@@ -120,11 +138,11 @@ def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
     """
     if not 0.0 <= gamma < np.inf:
         raise ValidationError("gamma must be finite and nonnegative")
-    best, q, _, vec, q_scanned = _mode_scan(
+    best, q, _, p, vec, q_scanned = _mode_scan(
         k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 + gamma * mu)
     return StabilityReport(best, q, vec,
-                           scan={"q_scanned": q_scanned, "k": k, "m": m,
-                                 "gamma": gamma})
+                           scan={"q_scanned": q_scanned, "bloch_p": p, "k": k,
+                                 "m": m, "gamma": gamma})
 
 
 def stability_threshold_gamma(m: float, k: int,
@@ -134,7 +152,7 @@ def stability_threshold_gamma(m: float, k: int,
     M(q) is linear in gamma, so mode q turns unstable exactly there.
     Returns gamma_c = None when the lamella stays stable up to gamma_max.
     """
-    gc, q, mu, vec, q_scanned = _mode_scan(
+    gc, q, mu, p, vec, q_scanned = _mode_scan(
         k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 / -mu if mu < 0 else np.inf)
     if gc > gamma_max:
         rep = lamella_min_eigenvalue(k, m, gamma_max)
@@ -142,8 +160,8 @@ def stability_threshold_gamma(m: float, k: int,
         return rep
     return StabilityReport(4.0 * np.pi**2 * q**2 + gc * mu, q, vec,
                            gamma_c=gc,
-                           scan={"q_scanned": q_scanned, "k": k, "m": m,
-                                 "gamma": gc})
+                           scan={"q_scanned": q_scanned, "bloch_p": p, "k": k,
+                                 "m": m, "gamma": gc})
 
 
 def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:
@@ -200,16 +218,18 @@ def _log_quadrature_block(n: int) -> np.ndarray:
 
     Q_ij approximates the double integral of -(1/2pi) log(2|sin pi(t-s)|)
     against node densities: Q_ij = (1/n^2) sum_nu chat_nu e^{2pi i nu dt},
-    with chat_nu = 1/(4 pi |nu|) the kernel's Fourier coefficients.
+    with chat_nu = 1/(4 pi |nu|) the kernel's Fourier coefficients.  Q
+    depends on the node pair only through dt, so the mode sum is taken once
+    per distinct offset (a few per i - j), not once per pair.
     """
     t = np.arange(n) / n
-    dt = t[:, None] - t[None, :]
+    dt, inv = np.unique(t[:, None] - t[None, :], return_inverse=True)
     nu = np.arange(1, n // 2 + 1)
     w = np.ones_like(nu, dtype=float)
     if n % 2 == 0:
         w[-1] = 0.5
-    cosd = np.cos(2.0 * np.pi * dt[..., None] * nu)
-    return (cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2
+    cosd = np.cos(2.0 * np.pi * dt[:, None] * nu)
+    return ((cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2)[inv].reshape(n, n)
 
 
 def assemble_boundary_form(mesh: BoundaryMesh, gamma: float,

@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .config import MIN_GRID_SIZE, TOLERANCES
-
-
-class ValidationError(ValueError):
-    """Raised on invalid inputs (bad shapes, grids, parameters)."""
-
-
-class NumericalError(RuntimeError):
-    """Raised on numerical failure (non-convergence, lost accuracy)."""
+from .config import MIN_GRID_SIZE, TOLERANCES, NumericalError, ValidationError
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,36 @@ def test_alpha_malformed_shape_file(tmp_path, capsys):
     assert "'radius 0.2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["kind=droplet\ncenter=0.5,0.5\n",
+                                  "kind=droplet\ncenter=0.5,0.5\nradius=abc\n"])
+def test_alpha_shape_file_missing_or_bad_key(tmp_path, capsys, text):
+    pa = os.path.join(str(tmp_path), "a.shape")
+    pb = os.path.join(str(tmp_path), "b.shape")
+    save_shape(lamella(1, 0.0), pa)
+    with open(pb, "w") as fh:
+        fh.write(text)
+    assert dispatch(["alpha", "--a", pa, "--b", pb, "--grid", "32"]) == 1
+    assert "'radius'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the thread count from /proc")
+def test_thread_cap_applies_at_import():
+    import okstab
+    env = {k: v for k, v in os.environ.items()
+           if k not in okstab.config.THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(okstab.__file__))
+    code = ("import okstab; print([l.split()[1] for l in open('/proc/self/status')"
+            " if l.startswith('Threads:')][0])")
+
+    def run(cap):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(env, OKSTAB_THREADS=cap))
+    assert run("1").stdout.strip() == "1"
+    bad = run("two")
+    assert bad.returncode == 1 and "OKSTAB_THREADS" in bad.stderr
+
+
 def test_import_leaves_out_scipy_optimize():
     import okstab
     env = dict(os.environ,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from okstab.shapes import Droplet, GraphPerturbation, boundary_mesh, lamella
-from okstab.stability import (assemble_boundary_form, constrained_min_eig,
-                              finite_difference_check, lamella_form_value,
-                              lamella_min_eigenvalue, lamella_mode_matrix,
-                              lamella_normal_derivative,
+from okstab.stability import (_bloch_blocks, _bloch_vector,
+                              _log_quadrature_block, assemble_boundary_form,
+                              constrained_min_eig, finite_difference_check,
+                              lamella_form_value, lamella_min_eigenvalue,
+                              lamella_mode_matrix, lamella_normal_derivative,
                               stability_threshold_gamma, stability_threshold_k,
                               translation_form_value)
 from okstab.torus import ValidationError
@@ -52,6 +53,7 @@ def test_normal_derivative_scaling():
 def test_threshold_gamma_regression():
     rep = stability_threshold_gamma(0.0, 1)
     assert rep.gamma_c == pytest.approx(GAMMA_C_SINGLE_STRIP, abs=2e-6)
+    assert rep.scan["bloch_p"] == 0
     # independent bracketing: dense eigensolves for q <= 20 on both sides
     for gamma, sign in ((rep.gamma_c - 0.01, 1.0), (rep.gamma_c + 0.01, -1.0)):
         worst = min(np.linalg.eigvalsh(
@@ -89,17 +91,69 @@ def test_threshold_gamma_large():
 
 
 def test_min_eigenvalue_matches_dense():
-    for (k, m, gamma) in [(1, 0.0, 50.0), (3, -0.2, 300.0), (8, 0.3, 4e3)]:
+    for (k, m, gamma) in [(1, 0.0, 50.0), (3, -0.2, 300.0), (8, 0.3, 4e3),
+                          (50, 0.1, 2e4)]:
         want = _dense_min_eig(k, m, gamma)
-        got = lamella_min_eigenvalue(k, m, gamma).min_eigenvalue
-        assert got == pytest.approx(want, rel=1e-12)
+        rep = lamella_min_eigenvalue(k, m, gamma)
+        assert rep.min_eigenvalue == pytest.approx(want, rel=1e-12)
+        assert rep.scan["bloch_p"] == 0
+        # the eigenvector against the dense M(q) of the attaining mode
+        M = lamella_mode_matrix(k, m, gamma, rep.mode).matrix
+        v = rep.eigenvector
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert (np.linalg.norm(M @ v - rep.min_eigenvalue * v)
+                < 1e-12 * np.linalg.norm(M, 2))
     with pytest.raises(ValidationError):
         lamella_min_eigenvalue(1, 0.0, -1.0)
 
 
+def _dense_a(k, m, q):
+    """A(q) = 8 K(q) + 4 dnv I, dense, from the mode matrix's ingredients."""
+    mm = lamella_mode_matrix(k, m, 0.0, q)
+    return 8.0 * mm.kernel + 4.0 * mm.dnv * np.eye(2 * k), mm.dnv
+
+
+def test_bloch_blocks_match_dense_spectrum():
+    # the k blocks together carry the whole spectrum of A(q), so the p != 0
+    # blocks are checked too, although the minimum sits at p = 0 here
+    for k in (1, 2, 3, 4, 7, 50):
+        for m in (-0.4, 0.0, 0.3):
+            for q in (1, 2, 5):
+                A, dnv = _dense_a(k, m, q)
+                scale = np.linalg.norm(A, 2)
+                alpha, beta = _bloch_blocks(k, 0.5 * (m + 1.0), q)
+                low = 8.0 * (alpha - np.abs(beta)) + 4.0 * dnv
+                high = 8.0 * (alpha + np.abs(beta)) + 4.0 * dnv
+                pairs = np.sort(np.concatenate([low, high]))
+                assert (np.abs(pairs - np.linalg.eigvalsh(A)).max()
+                        < 1e-12 * scale), (k, m, q)
+                assert np.argmin(low) == 0
+                for p in range(k):
+                    v = _bloch_vector(k, p, beta[p])
+                    assert v[0] > 0
+                    assert (np.linalg.norm(A @ v - low[p] * v)
+                            < 1e-12 * scale), (k, m, q, p)
+
+
+def test_single_strip_eigenvector_is_dense():
+    # k = 1: the closed-form eigenvector is dense eigh's, sign included
+    for m in (-0.4, 0.0, 0.3):
+        for gamma in (1.0, 50.0, 300.0, 5000.0):
+            rep = lamella_min_eigenvalue(1, m, gamma)
+            want = np.linalg.eigh(_dense_a(1, m, rep.mode)[0])[1][:, 0]
+            assert np.abs(rep.eigenvector - want).max() < 1e-15
+
+
 def test_threshold_gamma_monotone_in_k():
-    gcs = [stability_threshold_gamma(0.0, k).gamma_c for k in (1, 2, 3)]
-    assert gcs[0] < gcs[1] < gcs[2]
+    # gamma_c(m, k) strictly increases in k; None (stable up to gamma_max)
+    # may only follow every finite value
+    for m in (-0.3, 0.0, 0.25):
+        gcs = [stability_threshold_gamma(m, k).gamma_c for k in range(1, 29)]
+        finite = [g for g in gcs if g is not None]
+        assert gcs[:len(finite)] == finite, m
+        assert all(a < b for a, b in zip(finite, finite[1:])), m
+        if m == 0.0:
+            assert gcs[-1] is None and len(finite) == 27
 
 
 def test_small_gamma_always_stable():
@@ -133,6 +187,17 @@ def test_boundary_form_reproduces_mode_matrices():
                                   vec[1] * np.cos(2 * np.pi * q * x)])
             ray = form.value(phi) / (phi @ (form.weights * phi))
             assert abs(ray - w[i]) < 0.01 * abs(w[i]), (q, i)
+
+
+def test_log_quadrature_matches_per_pair_sum():
+    # reference: the mode sum evaluated separately for every node pair
+    for n in (7, 8, 64, 65, 128):
+        t = np.arange(n) / n
+        nu = np.arange(1, n // 2 + 1)
+        w = np.where(2 * nu == n, 0.5, 1.0)
+        cosd = np.cos(2.0 * np.pi * (t[:, None] - t[None, :])[..., None] * nu)
+        want = (cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2
+        assert np.array_equal(_log_quadrature_block(n), want), n
 
 
 def test_boundary_form_translation_nullity():
