@@ -16,16 +16,14 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_FIELD_GRID, read_key_values
-from .energy import (energy, graph_energy, isoperimetric_compare,
+from .energy import (el_residual, energy, graph_energy, isoperimetric_compare,
                      lamella_closed_form, strip_disc_crossing,
                      volume_corrected_perturbation)
-from .flow import (FlowState, diffuse_energy, run_flow,
-                   sharp_gamma_to_gamma0, tanh_profile)
+from .flow import run_flow, sharp_gamma_to_gamma0, tanh_profile
 from .shapes import (Droplet, GraphPerturbation, Lamella, alpha_distance,
                      boundary_mesh, load_shape, rasterize)
 from .stability import (finite_difference_check, lamella_min_eigenvalue,
                         stability_threshold_gamma, stability_threshold_k)
-from .energy import el_residual
 from .torus import NumericalError, ScalarField, ValidationError, make_grid
 
 

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_AXIS_GRID, DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
-from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
-                     Lamella, ShapeConfig, lamella_source_field,
-                     perimeter_exact, perimeter_grid, rasterize, shape_dim)
-from .torus import (ScalarField, TorusGrid, ValidationError, dirichlet_energy,
-                    make_grid, neumann_dirichlet_energy, solve_poisson_neumann,
-                    solve_poisson_periodic, spectral_gradient,
-                    trig_interpolate)
+from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, ShapeConfig,
+                     lamella_source_field, perimeter_exact, perimeter_grid,
+                     rasterize)
+from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
+                    neumann_dirichlet_energy, solve_poisson_neumann,
+                    solve_poisson_periodic, trig_interpolate)
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,9 @@ def _default_grid(dim: int) -> TorusGrid:
 
 
 def nonlocal_energy_field(u: ScalarField) -> float:
-    """int |grad v|^2 with -Lap v = u - mean(u)."""
-    f = ScalarField(u.grid, u.values - u.mean())
-    v = solve_poisson_periodic(f)
-    return dirichlet_energy(v)
+    """int |grad v|^2 with -Lap v = u - mean(u), as sum |uhat|^2 / (4 pi^2 |xi|^2)."""
+    g = u.grid
+    return g.parseval(g.inverse_laplacian() * np.abs(g.rfft(u.values)) ** 2)
 
 
 def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
@@ -72,10 +70,9 @@ def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
         # aliasing of raw +-1 sampling at unaligned interfaces
         n = grid.sizes[shape.axis] if grid is not None else DEFAULT_AXIS_GRID
         prof = Lamella(k=shape.k, m=shape.m, axis=0, dim=1)
-        src = lamella_source_field(prof, n)
-        nl = dirichlet_energy(solve_poisson_periodic(src))
+        nl = nonlocal_energy_field(lamella_source_field(prof, n))
     else:
-        g = grid if grid is not None else _default_grid(shape_dim(shape))
+        g = grid if grid is not None else _default_grid(shape.dim)
         nl = nonlocal_energy_field(rasterize(shape, g))
     return EnergyBreakdown(perimeter_exact(shape), nl, gamma)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import TOLERANCES
 from .shapes import Lamella, rasterize
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
-                    dirichlet_energy, make_grid, solve_poisson_periodic)
+                    make_grid)
 
 GAMMA0_FACTOR = 16.0 / 3.0   # gamma0 = (16/3) gamma
 
@@ -28,26 +28,24 @@ def sharp_gamma_to_gamma0(gamma: float) -> float:
     return GAMMA0_FACTOR * gamma
 
 
+def _well_derivative(u: np.ndarray, epsilon: float) -> np.ndarray:
+    # W'(u) / eps with W(u) = (u^2-1)^2
+    return (4.0 / epsilon) * u * (u**2 - 1.0)
+
+
+def _quadratic_symbol(grid: TorusGrid, epsilon: float, gamma0: float):
+    # eps 4 pi^2 |xi|^2 + gamma0 / (4 pi^2 |xi|^2), 0 at the zero mode
+    return epsilon * 4.0 * np.pi**2 * grid.ksq() + gamma0 * grid.inverse_laplacian()
+
+
 def diffuse_energy(u: ScalarField, epsilon: float, gamma0: float) -> float:
+    """E_eps(u): one Parseval sum over uhat for the quadratic terms, plus the well."""
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    grad = epsilon * dirichlet_energy(u)
+    g = u.grid
     well = float(((u.values**2 - 1.0) ** 2).mean()) / epsilon
-    nl = 0.0
-    if gamma0 != 0.0:
-        v = solve_poisson_periodic(ScalarField(u.grid, u.values - u.mean()))
-        nl = gamma0 * dirichlet_energy(v)
-    return grad + well + nl
-
-
-def _variational_derivative(u: ScalarField, epsilon: float, gamma0: float):
-    uh = np.fft.fftn(u.values)
-    lap = np.fft.ifftn(-4.0 * np.pi**2 * u.grid.ksq() * uh).real
-    out = -2.0 * epsilon * lap + (4.0 / epsilon) * u.values * (u.values**2 - 1.0)
-    if gamma0 != 0.0:
-        v = solve_poisson_periodic(ScalarField(u.grid, u.values - u.mean()))
-        out = out + 2.0 * gamma0 * v.values
-    return out
+    return g.parseval(_quadratic_symbol(g, epsilon, gamma0)
+                      * np.abs(g.rfft(u.values)) ** 2) + well
 
 
 @dataclass
@@ -62,6 +60,7 @@ class FlowState:
     stabilization: float = 0.0
     mean0: float = None
     rejections: int = 0
+    stop_reason: str | None = None   # set by run_flow: "converged" or "max_steps"
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.gamma0 < 0:
@@ -77,41 +76,34 @@ class FlowState:
         return self.energy_history[-1][2]
 
 
-def _refresh_stabilization(state: FlowState):
-    # 2 max|W''| / eps over the current iterate, W(u) = (u^2-1)^2
-    sup = float(np.abs(3.0 * state.u.values**2 - 1.0).max())
-    state.stabilization = 2.0 * 4.0 * sup / state.epsilon
-
-
 def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
     """One stabilized semi-implicit step; mean(u) is preserved exactly.
 
     The Laplacian is implicit, the well and nonlocal terms explicit with a
-    constant shift S; the nonlinear part is projected to mean zero before
-    stepping, so the zero Fourier mode is reproduced identically.  If the
-    energy increases beyond round-off the step is rejected and dt halved.
+    constant shift S.  The explicit part is transformed once per step, with
+    its zero mode set to 0 (the projection to mean zero), so the zero mode
+    of u is reproduced identically.  If the energy increases beyond
+    round-off the step is rejected and dt halved.
     """
     if dt is None:
         dt = state.dt
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if state.step % 100 == 0 or state.stabilization == 0.0:
-        _refresh_stabilization(state)
+        # S = 2 max|W''| / eps over the current iterate, W(u) = (u^2-1)^2
+        sup = float(np.abs(3.0 * state.u.values**2 - 1.0).max())
+        state.stabilization = 2.0 * 4.0 * sup / state.epsilon
     S = state.stabilization
     grid = state.u.grid
     lam = 2.0 * state.epsilon * 4.0 * np.pi**2 * grid.ksq()
+    uh = grid.rfft(state.u.values)
+    nh = (grid.rfft(_well_derivative(state.u.values, state.epsilon))
+          + 2.0 * state.gamma0 * grid.inverse_laplacian() * uh)
+    nh[(0,) * grid.dim] = 0.0
     e0 = state.energy
     for _ in range(40):
-        nl = (4.0 / state.epsilon) * state.u.values * (state.u.values**2 - 1.0)
-        if state.gamma0 != 0.0:
-            v = solve_poisson_periodic(
-                ScalarField(grid, state.u.values - state.u.mean()))
-            nl = nl + 2.0 * state.gamma0 * v.values
-        nl = nl - nl.mean()
-        uh = np.fft.fftn(state.u.values)
-        nh = np.fft.fftn(nl)
-        unew = np.fft.ifftn((uh * (1.0 + dt * S) - dt * nh)
-                            / (1.0 + dt * (lam + S))).real
+        unew = grid.irfft((uh * (1.0 + dt * S) - dt * nh)
+                          / (1.0 + dt * (lam + S)))
         cand = ScalarField(grid, unew)
         e1 = diffuse_energy(cand, state.epsilon, state.gamma0)
         if e1 <= e0 * (1.0 + TOLERANCES.energy_increase_rel) \
@@ -128,15 +120,18 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
 
 
 def flow_residual(state: FlowState) -> float:
-    """sup |dE/du - mean(dE/du)| of the current iterate."""
-    g = _variational_derivative(state.u, state.epsilon, state.gamma0)
-    return float(np.abs(g - g.mean()).max())
+    """sup |dE/du - mean(dE/du)| of the current iterate, where
+    dE/du = -2 eps Lap u + W'(u)/eps + 2 gamma0 v and -Lap v = u - mean(u)."""
+    u, g = state.u.values, state.u.grid
+    sym = 2.0 * _quadratic_symbol(g, state.epsilon, state.gamma0)
+    d = g.irfft(sym * g.rfft(u)) + _well_derivative(u, state.epsilon)
+    return float(np.abs(d - d.mean()).max())
 
 
 def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
              max_steps: int, stop_tol: float = 0.0) -> FlowState:
     """Iterate flow_step until the projected gradient is below stop_tol or
-    max_steps is reached.  Returns the final state with its history."""
+    max_steps is reached; the final state records which in stop_reason."""
     state = FlowState(u0.copy(), epsilon, gamma0, dt=dt)
     for _ in range(max_steps):
         flow_step(state)
@@ -144,7 +139,10 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
             raise NumericalError("mass drifted beyond tolerance")
         if stop_tol > 0 and state.step % 25 == 0 \
                 and flow_residual(state) <= stop_tol:
+            state.stop_reason = "converged"
             break
+    else:
+        state.stop_reason = "max_steps"
     return state
 
 

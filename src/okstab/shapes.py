@@ -177,7 +177,7 @@ def periodic_derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
 
 def rasterize(shape: ShapeConfig, grid: TorusGrid) -> ScalarField:
     """Cell-center sampling of chi_E - chi_{E^c} (values exactly +-1)."""
-    if shape_dim(shape) != grid.dim:
+    if shape.dim != grid.dim:
         raise ValidationError("shape/grid dimension mismatch")
     if isinstance(shape, Lamella):
         z = (grid.axis_coords(shape.axis) * shape.k) % 1.0
@@ -244,10 +244,6 @@ def _eval_periodic_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.real(spec @ e.T)
 
 
-def shape_dim(shape: ShapeConfig) -> int:
-    return shape.dim
-
-
 def volume_fraction(u: ScalarField) -> float:
     """Grid mean of u (the parameter m of the configuration)."""
     return u.mean()
@@ -291,10 +287,9 @@ def perimeter_grid(u: ScalarField, smooth_sigma_cells: float = 2.0) -> float:
 
 
 def _gaussian_smooth(u: ScalarField, sigma_cells: float) -> np.ndarray:
-    sig = sigma_cells * max(u.grid.spacing)
-    fh = np.fft.fftn(u.values)
-    fh *= np.exp(-2.0 * np.pi**2 * sig**2 * u.grid.ksq())
-    return np.fft.ifftn(fh).real
+    g = u.grid
+    sig = sigma_cells * max(g.spacing)
+    return g.irfft(g.rfft(u.values) * np.exp(-2.0 * np.pi**2 * sig**2 * g.ksq()))
 
 
 def _marching_squares_length(f: np.ndarray, grid: TorusGrid) -> float:
@@ -372,16 +367,14 @@ def alpha_distance(uE: ScalarField, uF: ScalarField):
         raise ValidationError("grid mismatch")
     E = (uE.values > 0).astype(float)
     F = (uF.values > 0).astype(float)
-    cE = float(E.sum())
-    cF = float(F.sum())
-    corr = np.fft.ifftn(np.fft.fftn(E) * np.conj(np.fft.fftn(F))).real
-    counts = np.rint(cE + cF - 2.0 * corr)
+    g = uE.grid
+    corr = g.irfft(g.rfft(E) * np.conj(g.rfft(F)))
+    counts = np.rint(E.sum() + F.sum() - 2.0 * corr)
     best = counts.min()
     idx = np.argwhere(counts == best)
     shift_idx = tuple(int(i) for i in sorted(map(tuple, idx))[0])
-    cellvol = uE.grid.cell_volume
-    shift = tuple(i * s for i, s in zip(shift_idx, uE.grid.spacing))
-    return float(best) * cellvol, shift
+    shift = tuple(i * s for i, s in zip(shift_idx, g.spacing))
+    return float(best) * g.cell_volume, shift
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
     """Uniform-parameter sampling of each boundary component (n_points each)."""
     if n_points < 64:
         raise ValidationError("n_points must be >= 64")
-    if shape_dim(shape) != 2:
+    if shape.dim != 2:
         raise ValidationError("boundary meshes are 2D only")
     t = np.arange(n_points) / n_points
     pts, nrm, kap, wts, comps, spd = [], [], [], [], [], []
@@ -582,9 +575,6 @@ class LamellaPotential:
         """Outward normal derivative of v at each interface (sorted order)."""
         return self._sorted_sgn * self.dv(self._sorted_pos)
 
-    def interface_values(self) -> np.ndarray:
-        return self.v(self._sorted_pos)
-
     def dirichlet_energy(self) -> float:
         """Exact int v'^2 over the circle (v' piecewise linear)."""
         total = 0.0
@@ -607,8 +597,8 @@ def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
     grid = make_grid(1, (n,))
     a = shape.a
     k = shape.k
-    nu = np.fft.fftfreq(n, d=1.0 / n)
-    c = np.zeros(n, dtype=complex)
+    nu, = grid.half_wavenumbers()
+    c = np.zeros(len(nu), dtype=complex)
     nz = nu != 0
     nn = nu[nz]
     # sum over strips: k identical cells, nonzero only on multiples of k
@@ -616,8 +606,7 @@ def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
                     (1.0 - np.exp(-2j * np.pi * nn * a / k)) / (2j * np.pi * nn), 0.0)
     c[nz] = 2.0 * k * cell
     phase = np.exp(2j * np.pi * nu * (0.5 / n))
-    vals = np.fft.ifft(c * n * phase).real
-    return ScalarField(grid, vals)
+    return ScalarField(grid, grid.irfft(c * n * phase))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ energies via Parseval, closed-form screened Green kernels on the circle, the
 two-dimensional torus Green function, and a homogeneous-Neumann box solver.
 
 Conventions: the torus is [0,1)^d with unit volume; samples live at cell
-centers x_j = (j + 1/2) h.  The zero Fourier mode of every Poisson solution
-is forced to exactly 0, which realizes the mean-zero normalization of the
-potential.
+centers x_j = (j + 1/2) h.  Fields are transformed to the rfftn half
+spectrum (last axis: wavenumbers 0..n/2).  Only TorusGrid knows this layout:
+rfft/irfft, parseval (full-spectrum sums) and ksq, the |xi|^2 built once per
+grid and returned read-only.  The zero Fourier mode of every Poisson
+solution is forced to exactly 0 (mean-zero potentials).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,18 +63,40 @@ class TorusGrid:
         axes = [self.axis_coords(a) for a in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
-    def wavenumbers(self) -> list[np.ndarray]:
-        """Integer wavenumbers per axis, fftfreq layout."""
-        return [np.fft.fftfreq(n, d=1.0 / n) for n in self.sizes]
+    def half_wavenumbers(self) -> list[np.ndarray]:
+        """Integer wavenumbers on the rfftn half spectrum, sparse 'ij' grids."""
+        ks = [np.fft.fftfreq(n, d=1.0 / n) for n in self.sizes[:-1]]
+        ks.append(np.fft.rfftfreq(self.sizes[-1], d=1.0 / self.sizes[-1]))
+        return np.meshgrid(*ks, indexing="ij", sparse=True)
 
+    @functools.lru_cache
     def ksq(self) -> np.ndarray:
-        """|xi|^2 on the full spectral grid (integer wavenumbers)."""
-        ks = self.wavenumbers()
-        grids = np.meshgrid(*ks, indexing="ij")
-        out = np.zeros(self.sizes)
-        for g in grids:
-            out += g * g
+        """|xi|^2 on the rfftn half spectrum (integer wavenumbers), read-only."""
+        out = sum(k * k for k in self.half_wavenumbers())
+        out.flags.writeable = False
         return out
+
+    @functools.lru_cache
+    def inverse_laplacian(self) -> np.ndarray:
+        """1/(4 pi^2 |xi|^2) with 0 at the zero mode (mean-zero potentials), read-only."""
+        ksq = self.ksq()
+        out = np.divide(1.0, 4.0 * np.pi**2 * ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        out.flags.writeable = False
+        return out
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of real grid values."""
+        return np.fft.rfftn(values)
+
+    def irfft(self, spec: np.ndarray) -> np.ndarray:
+        """Real grid values of a half spectrum."""
+        return np.fft.irfftn(spec, s=self.sizes, axes=tuple(range(self.dim)))
+
+    def parseval(self, density: np.ndarray) -> float:
+        """Full-spectrum sum / N^2 of an even density on the half spectrum; the
+        last-axis columns 1..(n-1)//2 stand for their conjugates too (count twice)."""
+        twice = density[..., 1:(self.sizes[-1] + 1) // 2]
+        return float(density.sum() + twice.sum()) / self.num_cells**2
 
 
 @dataclass
@@ -115,39 +140,31 @@ def solve_poisson_periodic(f: ScalarField) -> ScalarField:
     to exactly 0.  The source must be mean-zero.
     """
     _check_mean_zero(f)
-    fh = np.fft.fftn(f.values)
-    ksq = f.grid.ksq()
-    denom = 4.0 * np.pi**2 * ksq
-    vh = np.zeros_like(fh)
-    nz = ksq > 0
-    vh[nz] = fh[nz] / denom[nz]
-    v = np.fft.ifftn(vh).real
-    return ScalarField(f.grid, v)
+    g = f.grid
+    return ScalarField(g, g.irfft(g.rfft(f.values) * g.inverse_laplacian()))
 
 
 def laplacian(v: ScalarField) -> ScalarField:
     """Spectral Laplacian; used for residual checks."""
-    vh = np.fft.fftn(v.values)
-    out = np.fft.ifftn(-4.0 * np.pi**2 * v.grid.ksq() * vh).real
-    return ScalarField(v.grid, out)
+    g = v.grid
+    return ScalarField(g, g.irfft(-4.0 * np.pi**2 * g.ksq() * g.rfft(v.values)))
 
 
 def spectral_gradient(v: ScalarField) -> list[ScalarField]:
-    """Spectral gradient components of a periodic field."""
-    vh = np.fft.fftn(v.values)
-    ks = v.grid.wavenumbers()
-    grids = np.meshgrid(*ks, indexing="ij")
+    """Spectral gradient components; an even axis's Nyquist mode is dropped."""
+    g = v.grid
+    vh = g.rfft(v.values)
     comps = []
-    for g in grids:
-        comps.append(ScalarField(v.grid, np.fft.ifftn(2j * np.pi * g * vh).real))
+    for n, k in zip(g.sizes, g.half_wavenumbers()):
+        k = np.where(2 * np.abs(k) == n, 0.0, k)
+        comps.append(ScalarField(g, g.irfft(2j * np.pi * k * vh)))
     return comps
 
 
 def dirichlet_energy(v: ScalarField) -> float:
     """int |grad v|^2 by the Parseval sum sum 4 pi^2 |xi|^2 |vhat|^2."""
-    vh = np.fft.fftn(v.values)
-    ntot = v.grid.num_cells
-    return float(np.sum(4.0 * np.pi**2 * v.grid.ksq() * np.abs(vh) ** 2) / ntot**2)
+    g = v.grid
+    return g.parseval(4.0 * np.pi**2 * g.ksq() * np.abs(g.rfft(v.values)) ** 2)
 
 
 def grid_inner(u: ScalarField, v: ScalarField) -> float:
@@ -171,7 +188,7 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     ntot = v.grid.num_cells
     coef = np.fft.fftn(v.values) / ntot
     # shift coefficients so that modes are e^{2 pi i n x} in physical coordinates
-    ks = v.grid.wavenumbers()
+    ks = [np.fft.fftfreq(n, d=1.0 / n) for n in v.grid.sizes]
     for axis, k in enumerate(ks):
         shape = [1] * v.grid.dim
         shape[axis] = len(k)

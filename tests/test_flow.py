@@ -43,6 +43,45 @@ def test_unconverged_history_has_one_row_per_step():
     steps = [row[0] for row in st.energy_history]
     assert steps == list(range(st.step + 1))
     assert len(st.energy_history) == st.step + 1 == 6
+    assert st.stop_reason == "max_steps"
+
+
+def test_stop_reason():
+    g = make_grid(1, (64,))
+    u0 = ScalarField(g, 0.3 + 0.01 * np.cos(2 * np.pi * g.axis_coords(0)))
+    assert FlowState(u0, 0.1, 1.0).stop_reason is None
+    st = run_flow(u0, 0.1, 1.0, dt=1e-2, max_steps=500, stop_tol=1e-6)
+    assert st.stop_reason == "converged" and st.step < 500
+    st = run_flow(u0, 0.1, 1.0, dt=1e-2, max_steps=30)
+    assert st.stop_reason == "max_steps" and st.step == 30
+
+
+def _reference_step(u, eps, gamma0, S, dt):
+    # the stabilized step on the full complex spectrum, with the Poisson
+    # solve and the mean projection done in real space
+    ks = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in u.shape], indexing="ij")
+    ksq = sum(k * k for k in ks)
+    nl = (4.0 / eps) * u * (u**2 - 1.0)
+    fh = np.fft.fftn(u - u.mean())
+    vh = np.zeros_like(fh)
+    vh[ksq > 0] = fh[ksq > 0] / (4.0 * np.pi**2 * ksq[ksq > 0])
+    nl = nl + 2.0 * gamma0 * np.fft.ifftn(vh).real
+    nl = nl - nl.mean()
+    lam = 2.0 * eps * 4.0 * np.pi**2 * ksq
+    return np.fft.ifftn((np.fft.fftn(u) * (1.0 + dt * S) - dt * np.fft.fftn(nl))
+                        / (1.0 + dt * (lam + S))).real
+
+
+@pytest.mark.parametrize("sizes", [(48, 40), (33, 45)])
+def test_step_matches_complex_reference(sizes):
+    rng = np.random.default_rng(11)
+    g = make_grid(2, sizes)
+    u0 = ScalarField(g, 0.9 * np.tanh(2 * rng.standard_normal(sizes)) + 0.1)
+    st = FlowState(u0.copy(), epsilon=0.1, gamma0=30.0, dt=1e-4)
+    flow_step(st)
+    assert st.rejections == 0
+    want = _reference_step(u0.values, 0.1, 30.0, st.stabilization, 1e-4)
+    assert np.abs(st.u.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_energy_monotone_decrease():

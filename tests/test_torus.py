@@ -9,7 +9,8 @@ from okstab.torus import (ScalarField, ValidationError, dirichlet_energy,
                           green_kernel_screened, grid_inner, laplacian,
                           load_field, make_grid, neumann_laplacian,
                           save_field, solve_poisson_neumann,
-                          solve_poisson_periodic, trig_interpolate)
+                          solve_poisson_periodic, spectral_gradient,
+                          trig_interpolate)
 
 
 def test_grid_basics():
@@ -204,3 +205,27 @@ def test_snapshot_round_trip_bit_exact():
         assert header == "okfield v1 dim=3 sizes=8,16,8\n"
     assert back.grid == g
     assert np.array_equal(back.values, fld.values)
+
+
+def test_ksq_built_once_and_read_only():
+    g = make_grid(2, (12, 9))
+    assert g.ksq() is g.ksq()
+    assert g.ksq() is make_grid(2, (12, 9)).ksq()
+    assert g.ksq().shape == (12, 5)
+    with pytest.raises(ValueError):
+        g.ksq()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.inverse_laplacian()[0, 0] = 1.0
+
+
+def test_spectral_gradient_modes():
+    # odd and even axes; the mode at the Nyquist frequency of the even axis
+    # has no derivative along that axis, only along the other one
+    g = make_grid(2, (16, 15))
+    X, Y = g.coords()
+    a1 = 2 * np.pi * (3 * X - 2 * Y)
+    a2 = 2 * np.pi * (8 * X + 3 * Y)
+    gx, gy = spectral_gradient(ScalarField(g, np.sin(a1) + np.sin(a2)))
+    assert np.abs(gx.values - 6 * np.pi * np.cos(a1)).max() < 1e-12
+    assert np.abs(gy.values + 4 * np.pi * np.cos(a1)
+                  - 6 * np.pi * np.cos(a2)).max() < 1e-12
