@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: energy, stability-scan, threshold, perturb-test, fd-check,
-flow, iso-compare, criticality, alpha.  Every run writes a CSV whose
-leading `#` lines echo the resolved configuration (so a run can be
-reproduced from its own output).  Exit codes: 0 success, 1 validation
-error / bad usage, 2 numerical failure.
+flow, iso-compare, criticality, alpha.  Each `cmd_*` handler returns a
+CSV header and its rows; `dispatch` writes them after `#` lines that echo
+the package version and every resolved option (so a run can be reproduced
+from its own output).  Exit codes: 0 success, 1 validation error / bad
+usage, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,36 +18,13 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_FIELD_GRID, read_key_values
 from .energy import (el_residual, energy, graph_energy, isoperimetric_compare,
-                     lamella_closed_form, strip_disc_crossing,
                      volume_corrected_perturbation)
-from .flow import run_flow, sharp_gamma_to_gamma0, tanh_profile
-from .shapes import (Droplet, GraphPerturbation, Lamella, alpha_distance,
-                     boundary_mesh, load_shape, rasterize)
+from .flow import run_flow, tanh_profile
+from .shapes import (GraphPerturbation, Lamella, alpha_distance, boundary_mesh,
+                     load_shape, rasterize, record_to_shape)
 from .stability import (finite_difference_check, lamella_min_eigenvalue,
                         stability_threshold_gamma, stability_threshold_k)
 from .torus import NumericalError, ScalarField, ValidationError, make_grid
-
-
-def _find_subparser(parser: argparse.ArgumentParser, command: str):
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            return act.choices[command]
-    raise ValidationError("no subcommands registered")
-
-
-def _set_config_defaults(args: argparse.Namespace,
-                         parser: argparse.ArgumentParser):
-    """Make the --config key=value pairs defaults of the subcommand, so a
-    re-parse applies them unless the flag is given on the command line.
-    Unknown keys are rejected; argparse coerces each value with the
-    option's declared type."""
-    sub = _find_subparser(parser, args.command)
-    dests = {a.dest for a in sub._actions}
-    for key, val in read_key_values(args.config).items():
-        dest = key.replace("-", "_")
-        if dest not in dests:
-            raise ValidationError(f"unknown config key {key!r}")
-        sub.set_defaults(**{dest: val})
 
 
 def _write_csv(path: str | None, provenance: dict, header: str, rows):
@@ -70,8 +48,11 @@ def _fmt(v):
     return str(v)
 
 
-def _provenance(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _provenance(args):
+    """Every option of the parsed subcommand that has a value, except the
+    output path and the config file (whose pairs are echoed as options)."""
+    return {k: v for k, v in vars(args).items()
+            if v is not None and k not in ("command", "func", "out", "config")}
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +60,9 @@ def _provenance(args, keys):
 # ---------------------------------------------------------------------------
 
 def _shape_from_args(args):
-    if args.shape == "lamella":
-        return Lamella(k=args.k, m=args.m, axis=-1, dim=args.dim)
-    if args.shape == "droplet":
-        center = tuple(float(c) for c in args.center.split(","))
-        return Droplet(center=center, radius=args.radius, dim=args.dim)
-    raise ValidationError(f"unknown shape {args.shape!r}")
+    """Shape from the shape options; a bad value is a ValidationError
+    naming its key."""
+    return record_to_shape(dict(vars(args), kind=args.shape))
 
 
 def cmd_energy(args):
@@ -94,12 +72,9 @@ def cmd_energy(args):
         dim = shape.dim
         grid = make_grid(dim, (args.grid,) * dim)
     br = energy(shape, args.gamma, grid)
-    rows = [(args.m, args.gamma, getattr(shape, "k", ""), br.perimeter,
-             br.nonlocal_term, br.total)]
-    _write_csv(args.out, _provenance(args, ("shape", "k", "m", "gamma",
-                                            "radius", "center", "grid")),
-               "m,gamma,k,perimeter,nonlocal,total", rows)
-    return 0
+    return "m,gamma,k,perimeter,nonlocal,total", [
+        (args.m, args.gamma, getattr(shape, "k", ""), br.perimeter,
+         br.nonlocal_term, br.total)]
 
 
 def cmd_stability_scan(args):
@@ -107,9 +82,7 @@ def cmd_stability_scan(args):
     for k in range(args.k_min, args.k_max + 1):
         rep = lamella_min_eigenvalue(k, args.m, args.gamma)
         rows.append((k, args.m, args.gamma, rep.min_eigenvalue, rep.mode))
-    _write_csv(args.out, _provenance(args, ("m", "gamma", "k_min", "k_max")),
-               "k,m,gamma,min_eigenvalue,q", rows)
-    return 0
+    return "k,m,gamma,min_eigenvalue,q", rows
 
 
 def cmd_threshold(args):
@@ -121,9 +94,7 @@ def cmd_threshold(args):
         rep = stability_threshold_k(args.m, args.gamma)
         rows = [(args.m, args.gamma, "k0",
                  rep.k0 if rep.k0 is not None else "none")]
-    _write_csv(args.out, _provenance(args, ("mode", "m", "k", "gamma")),
-               "param1,param2,kind,value", rows)
-    return 0
+    return "param1,param2,kind,value", rows
 
 
 def cmd_perturb_test(args):
@@ -146,10 +117,7 @@ def cmd_perturb_test(args):
         worst = min(worst, ratio)
         rows.append((trial, jf - j0, a, ratio))
     rows.append(("min", "", "", worst))
-    _write_csv(args.out, _provenance(args, ("k", "m", "gamma", "trials",
-                                            "seed", "grid", "amplitude")),
-               "trial,energy_excess,alpha,ratio", rows)
-    return 0
+    return "trial,energy_excess,alpha,ratio", rows
 
 
 def _random_heights(rng, n_rows, n_nodes, n_modes, amp):
@@ -178,10 +146,7 @@ def cmd_fd_check(args):
     rows.append(("richardson", rep.richardson))
     rows.append(("form_value", rep.form_value))
     rows.append(("ratio", rep.ratio))
-    _write_csv(args.out, _provenance(args, ("k", "m", "gamma", "q",
-                                            "interface", "t")),
-               "t,second_difference", rows)
-    return 0
+    return "t,second_difference", rows
 
 
 def cmd_flow(args):
@@ -195,23 +160,17 @@ def cmd_flow(args):
         u0 = ScalarField(grid, noisy - noisy.mean() + mean0)
     st = run_flow(u0, args.epsilon, args.gamma0, args.dt, args.steps,
                   stop_tol=args.stop_tol)
-    rows = [(s, t, e) for (s, t, e) in st.energy_history[:: max(1, args.stride)]]
+    rows = st.energy_history[:: max(1, args.stride)]
     if rows[-1][0] != st.energy_history[-1][0]:
         rows.append(st.energy_history[-1])
-    _write_csv(args.out, _provenance(args, ("k", "m", "epsilon", "gamma0",
-                                            "grid", "dt", "steps", "seed",
-                                            "noise")),
-               "step,t,energy", [(s, t, e) for (s, t, e) in rows])
-    return 0
+    return "step,t,energy", rows
 
 
 def cmd_iso_compare(args):
     rows_in, best = isoperimetric_compare(args.m, args.dim)
-    rows = [(r["name"], r["perimeter"], int(r["valid"]),
-             "min" if r["name"] == best else "") for r in rows_in]
-    _write_csv(args.out, _provenance(args, ("m", "dim")),
-               "candidate,perimeter,valid,flag", rows)
-    return 0
+    return "candidate,perimeter,valid,flag", [
+        (r["name"], r["perimeter"], int(r["valid"]),
+         "min" if r["name"] == best else "") for r in rows_in]
 
 
 def cmd_criticality(args):
@@ -219,12 +178,8 @@ def cmd_criticality(args):
     mesh = boundary_mesh(shape, args.n_points)
     grid = make_grid(2, (args.grid or DEFAULT_FIELD_GRID,) * 2)
     rep = el_residual(mesh, args.gamma, grid)
-    rows = [("lambda", rep.lam), ("residual_sup", rep.residual_sup)]
-    _write_csv(args.out, _provenance(args, ("shape", "k", "m", "gamma",
-                                            "radius", "center", "n_points",
-                                            "grid")),
-               "quantity,value", rows)
-    return 0
+    return "quantity,value", [("lambda", rep.lam),
+                              ("residual_sup", rep.residual_sup)]
 
 
 def cmd_alpha(args):
@@ -232,55 +187,60 @@ def cmd_alpha(args):
     ua = rasterize(load_shape(args.a), grid)
     ub = rasterize(load_shape(args.b), grid)
     val, shift = alpha_distance(ua, ub)
-    rows = [(val, shift[0], shift[1])]
-    _write_csv(args.out, _provenance(args, ("a", "b", "grid")),
-               "alpha,shift0,shift1", rows)
-    return 0
+    return "alpha,shift0,shift1", [(val, shift[0], shift[1])]
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+def _io_options() -> argparse.ArgumentParser:
+    """--out and --config, which every subcommand takes; `dispatch` also
+    finds --config with it before the full parse."""
+    io = argparse.ArgumentParser(prog="okstab", add_help=False)
+    io.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    io.add_argument("--config", default=None,
+                    help="flat key=value file of options; CLI flags win")
+    return io
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="okstab",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command")
+    io = _io_options()
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        sp.add_argument("--config", default=None,
-                        help="flat key=value config file; CLI flags win")
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--shape", required=True, choices=["lamella", "droplet"])
+    shape.add_argument("--k", type=int, default=1)
+    shape.add_argument("--m", type=float, default=0.0)
+    shape.add_argument("--gamma", type=float, default=0.0)
+    shape.add_argument("--radius", type=float, default=0.25)
+    shape.add_argument("--center", default="0.5,0.5")
+    shape.add_argument("--dim", type=int, default=2)
+    shape.add_argument("--grid", type=int, default=None)
 
-    sp = sub.add_parser("energy", help="energy breakdown of a shape")
-    sp.add_argument("--shape", required=True, choices=["lamella", "droplet"])
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--radius", type=float, default=0.25)
-    sp.add_argument("--center", default="0.5,0.5")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--grid", type=int, default=None)
-    common(sp)
+    sp = sub.add_parser("energy", parents=[shape, io],
+                        help="energy breakdown of a shape")
     sp.set_defaults(func=cmd_energy)
 
-    sp = sub.add_parser("stability-scan", help="minimal eigenvalue over k")
+    sp = sub.add_parser("stability-scan", parents=[io],
+                        help="minimal eigenvalue over k")
     sp.add_argument("--m", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--k-min", type=int, default=1)
     sp.add_argument("--k-max", type=int, default=10)
-    common(sp)
     sp.set_defaults(func=cmd_stability_scan)
 
-    sp = sub.add_parser("threshold", help="gamma_c or k0 threshold")
+    sp = sub.add_parser("threshold", parents=[io], help="gamma_c or k0 threshold")
     sp.add_argument("--mode", choices=["gamma", "k"], required=True)
     sp.add_argument("--m", type=float, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--gamma", type=float, default=1.0)
-    common(sp)
     sp.set_defaults(func=cmd_threshold)
 
-    sp = sub.add_parser("perturb-test", help="random perturbation sampling")
+    sp = sub.add_parser("perturb-test", parents=[io],
+                        help="random perturbation sampling")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, required=True)
@@ -289,20 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=128)
     sp.add_argument("--modes", type=int, default=4)
     sp.add_argument("--amplitude", type=float, default=0.25)
-    common(sp)
     sp.set_defaults(func=cmd_perturb_test)
 
-    sp = sub.add_parser("fd-check", help="second difference vs quadratic form")
+    sp = sub.add_parser("fd-check", parents=[io],
+                        help="second difference vs quadratic form")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--interface", type=int, default=0)
     sp.add_argument("--t", type=float, default=0.02)
-    common(sp)
     sp.set_defaults(func=cmd_fd_check)
 
-    sp = sub.add_parser("flow", help="conserved diffuse-interface flow")
+    sp = sub.add_parser("flow", parents=[io], help="conserved diffuse-interface flow")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--epsilon", type=float, required=True)
@@ -314,48 +273,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stride", type=int, default=1)
-    common(sp)
     sp.set_defaults(func=cmd_flow)
 
-    sp = sub.add_parser("iso-compare", help="classical candidate perimeters")
+    sp = sub.add_parser("iso-compare", parents=[io],
+                        help="classical candidate perimeters")
     sp.add_argument("--m", type=float, required=True)
     sp.add_argument("--dim", type=int, default=2)
-    common(sp)
     sp.set_defaults(func=cmd_iso_compare)
 
-    sp = sub.add_parser("criticality", help="Euler-Lagrange residual")
-    sp.add_argument("--shape", required=True, choices=["lamella", "droplet"])
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--radius", type=float, default=0.25)
-    sp.add_argument("--center", default="0.5,0.5")
-    sp.add_argument("--dim", type=int, default=2)
+    sp = sub.add_parser("criticality", parents=[shape, io],
+                        help="Euler-Lagrange residual")
     sp.add_argument("--n-points", type=int, default=256)
-    sp.add_argument("--grid", type=int, default=None)
-    common(sp)
     sp.set_defaults(func=cmd_criticality)
 
-    sp = sub.add_parser("alpha", help="translation-modded symmetric difference")
+    sp = sub.add_parser("alpha", parents=[io],
+                        help="translation-modded symmetric difference")
     sp.add_argument("--a", required=True, help="shape description file")
     sp.add_argument("--b", required=True, help="shape description file")
     sp.add_argument("--grid", type=int, default=128)
-    common(sp)
     sp.set_defaults(func=cmd_alpha)
     return p
 
 
 def dispatch(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        config = _io_options().parse_known_args(argv)[0].config
+        pairs = read_key_values(config) if config else {}
+        # config pairs go just after the subcommand, so the user's own
+        # flags come later and win; argparse coerces and checks them all
+        argv[1:1] = [f"--{key.replace('_', '-')}={val}"
+                     for key, val in pairs.items()]
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        if args.config:
-            _set_config_defaults(args, parser)
-            args = parser.parse_args(argv)
-        return args.func(args)
+        for key in pairs:
+            # argparse would take an abbreviation such as `gam` for --gamma
+            if key == "config" or key.replace("-", "_") not in vars(args):
+                raise ValidationError(f"unknown config key {key!r}")
+        header, rows = args.func(args)
+        _write_csv(args.out, _provenance(args), header, rows)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -150,14 +150,12 @@ def _torus_dist(x, y):
 
 
 def resample_periodic(rows: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric resampling of periodic rows (node samples at j/n)."""
+    """Trigonometric interpolant of periodic rows (node samples at j/n0)
+    evaluated at the n nodes j/n."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n0 = rows.shape[1]
-    if n == n0:
+    if n == rows.shape[1]:
         return rows.copy()
-    spec = np.fft.rfft(rows, axis=1)
-    out = np.fft.irfft(spec, n=n, axis=1) * (n / n0)
-    return out
+    return _eval_periodic_rows(rows, np.arange(n) / n)
 
 
 def periodic_derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
@@ -230,18 +228,18 @@ def _graph_mask(gp: GraphPerturbation, grid: TorusGrid):
 
 
 def _eval_periodic_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the trig interpolant of node-sampled rows at points x."""
+    """Evaluate the trig interpolant of node-sampled rows at points x.
+
+    Interior modes of the rfft half spectrum count twice, the zero mode and
+    the Nyquist mode of an even row length once: the Nyquist mode enters as
+    the cosine through its samples.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[1]
-    spec = np.fft.fft(rows, axis=1) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        spec[:, n // 2] *= 0.5
-        e = np.exp(2j * np.pi * np.outer(x, k))
-        extra = spec[:, n // 2][:, None] * np.exp(-2j * np.pi * (n // 2) * x)[None, :]
-        return np.real(spec @ e.T + extra)
-    e = np.exp(2j * np.pi * np.outer(x, k))
-    return np.real(spec @ e.T)
+    q = np.arange(n // 2 + 1)
+    weight = np.where((q == 0) | (2 * q == n), 1.0, 2.0) / n
+    spec = np.fft.rfft(rows, axis=1) * weight
+    return np.real(spec @ np.exp(2j * np.pi * np.outer(q, x)))
 
 
 def volume_fraction(u: ScalarField) -> float:
@@ -370,11 +368,9 @@ def alpha_distance(uE: ScalarField, uF: ScalarField):
     g = uE.grid
     corr = g.irfft(g.rfft(E) * np.conj(g.rfft(F)))
     counts = np.rint(E.sum() + F.sum() - 2.0 * corr)
-    best = counts.min()
-    idx = np.argwhere(counts == best)
-    shift_idx = tuple(int(i) for i in sorted(map(tuple, idx))[0])
-    shift = tuple(i * s for i, s in zip(shift_idx, g.spacing))
-    return float(best) * g.cell_volume, shift
+    shift_idx = np.unravel_index(np.argmin(counts), counts.shape)
+    shift = tuple(int(i) * s for i, s in zip(shift_idx, g.spacing))
+    return float(counts[shift_idx]) * g.cell_volume, shift
 
 
 # ---------------------------------------------------------------------------

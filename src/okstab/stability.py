@@ -377,8 +377,10 @@ def lamella_form_value(base: Lamella, phi: np.ndarray, gamma: float) -> float:
     for q in range(n // 2 + 1):
         M = lamella_mode_matrix(base.k, base.m, gamma, q).matrix
         mult = 2.0
-        if q == 0 or (n % 2 == 0 and q == n // 2):
+        if q == 0:
             mult = 1.0
+        elif 2 * q == n:
+            mult = 0.5   # the Nyquist cosine has mean square 1/2
         cq = c[:, q]
         total += mult * float(np.real(np.conj(cq) @ M @ cq))
     return total

@@ -5,9 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from okstab.cli import dispatch
-from okstab.shapes import alpha_distance, lamella, rasterize, save_shape
+from okstab.cli import build_parser, dispatch
+from okstab.shapes import Droplet, alpha_distance, lamella, rasterize, save_shape
 from okstab.torus import make_grid
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def _readme_commands():
+    with open(README) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("okstab ")]
 
 
 def _run(tmp_path, argv, name="out.csv"):
@@ -68,13 +78,48 @@ def test_config_value_applies_unless_flag_given(tmp_path):
     assert "# k=2\n" in text and "# gamma=2.5\n" in text
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = os.path.join(str(tmp_path), "bad.cfg")
+    # `gam` is no option, although argparse would take --gam for --gamma
+    for line, named in (("bogus_key=3", "bogus"), ("gam=3", "'gam'")):
+        with open(cfg, "w") as fh:
+            fh.write(f"mode=gamma\nm=0.0\n{line}\n")
+        rc = dispatch(["threshold", "--config", cfg, "--mode", "gamma",
+                       "--m", "0.0"])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+
+def test_config_supplies_required_options(tmp_path):
+    cfg = os.path.join(str(tmp_path), "run.cfg")
     with open(cfg, "w") as fh:
-        fh.write("mode=gamma\nm=0.0\nbogus_key=3\n")
-    rc = dispatch(["threshold", "--config", cfg, "--mode", "gamma",
-                   "--m", "0.0"])
-    assert rc == 1
+        fh.write("mode=gamma\nm=0.0\nk=1\n")
+    rc, out = _run(tmp_path, ["threshold", "--config", cfg])
+    assert rc == 0
+    text = open(out).read()
+    assert "# mode=gamma\n" in text and "# m=0.0\n" in text
+    assert abs(float(text.strip().splitlines()[-1].split(",")[-1])
+               - 94.87206216585848) < 2e-6
+
+
+def test_bad_shape_option_is_one_error_line(capsys):
+    assert dispatch(["energy", "--shape", "droplet", "--center", "abc"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'center'" in err[0]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: " ".join(a[:3]))
+def test_readme_example_echoes_every_option(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_shape(Droplet((0.3, 0.4), 0.2), "a.shape")
+    save_shape(Droplet((0.6, 0.5), 0.22), "b.shape")
+    assert dispatch(argv + ["--out", "out.csv"]) == 0
+    with open("out.csv") as fh:
+        echoed = {line[2:].rstrip("\n") for line in fh if line.startswith("# ")}
+    options = vars(build_parser().parse_args(argv))
+    for key in ("command", "func", "out", "config"):
+        del options[key]
+    assert {f"{k}={v}" for k, v in options.items() if v is not None} <= echoed
 
 
 def test_alpha_matches_library(tmp_path):

@@ -65,6 +65,15 @@ def test_graph_collision_guard():
         GraphPerturbation(base, 0.3 * np.ones((2, 16)))
 
 
+@pytest.mark.parametrize("n0", [7, 8, 16])
+def test_resampled_heights_keep_node_values(n0):
+    rng = np.random.default_rng(n0)
+    psi = 0.01 * rng.normal(size=(2, n0))
+    pos, _ = lamella(1, 0.0).interfaces()
+    hts = GraphPerturbation(lamella(1, 0.0), psi).heights(4 * n0)
+    assert np.abs(hts[:, ::4] - pos[:, None] - psi).max() < 1e-14
+
+
 def test_perimeter_exact():
     assert perimeter_exact(lamella(3, 0.1)) == 6.0
     assert abs(perimeter_exact(Droplet((0.5, 0.5), 0.25)) - np.pi / 2) < 1e-15
@@ -122,6 +131,18 @@ def test_alpha_brute_force_small():
             for j in range(16):
                 best = min(best, np.abs(a - np.roll(b, (i, j), axis=(0, 1))).sum() / 2)
         assert got == best * g.cell_volume
+
+
+def test_alpha_tie_breaks_to_smallest_shift():
+    g = make_grid(2, (16, 16))
+    u = rasterize(lamella(2, 0.0), g)   # constant along axis 0: whole rows of shifts tie
+    moved = np.roll(u.values, 3, axis=1)
+    val, shift = alpha_distance(u, ScalarField(g, moved))
+    counts = np.array([[np.abs(u.values - np.roll(moved, (i, j), axis=(0, 1))).sum()
+                        for j in range(16)] for i in range(16)])
+    ties = sorted(zip(*np.nonzero(counts == counts.min())))
+    assert len(ties) == 32
+    assert val == 0.0 and shift == tuple(int(i) * h for i, h in zip(ties[0], g.spacing))
 
 
 def test_alpha_pseudometric():

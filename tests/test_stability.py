@@ -246,6 +246,24 @@ def test_fd_check_single_mode():
     assert abs(rep.ratio - 1.0) < 0.01
 
 
+def _nyquist_rows(n):
+    # 0.5 (-1)^j; at amplitude 1 and n=16 the steps t=0.02, 0.01 tilt the
+    # interface by ~1 and the Richardson value itself is off by 1e-2
+    psi = np.zeros((2, n))
+    psi[0] = 0.5 * np.cos(np.pi * np.arange(n))
+    return psi
+
+
+@pytest.mark.parametrize("psi", [0.5 * np.random.default_rng(1).normal(size=(2, 16)),
+                                 _nyquist_rows(16), _nyquist_rows(8)],
+                         ids=["random16", "nyquist16", "nyquist8"])
+def test_fd_check_generic_and_nyquist_rows(psi):
+    # node rows with weight in every lateral mode, the Nyquist mode included:
+    # the energy's heights and the form's Parseval weights must agree on it
+    rep = finite_difference_check(lamella(1, 0.0), psi, 2.0)
+    assert abs(rep.ratio - 1.0) <= 1e-2
+
+
 def test_fd_check_gamma_zero_is_dirichlet():
     base = lamella(1, 0.0)
     n = 64
@@ -278,7 +296,7 @@ def test_form_value_matches_mode_sum():
     acc = 0.0
     for q in range(n // 2 + 1):
         M = lamella_mode_matrix(2, 0.2, 3.0, q).matrix
-        mult = 1.0 if q in (0, n // 2) else 2.0
+        mult = {0: 1.0, n // 2: 0.5}.get(q, 2.0)   # Nyquist cosine: mean square 1/2
         acc += mult * float(np.real(np.conj(c[:, q]) @ M @ c[:, q]))
     assert total == pytest.approx(acc, rel=1e-12)
 
