@@ -5,7 +5,7 @@ flow, iso-compare, criticality, alpha.  Each `cmd_*` handler returns a
 CSV header and its rows; `dispatch` writes them after `#` lines that echo
 the package version and every resolved option (so a run can be reproduced
 from its own output).  Exit codes: 0 success, 1 validation error / bad
-usage, 2 numerical failure.
+usage / unreadable or unwritable file, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -317,6 +317,9 @@ def dispatch(argv=None) -> int:
         _write_csv(args.out, _provenance(args), header, rows)
         return 0
     except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:      # --config, --out or a shape file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -8,15 +8,16 @@ the classical candidate comparison (strip / disc / cylinder / ball).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_AXIS_GRID, DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
-from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, ShapeConfig,
-                     lamella_source_field, perimeter_exact, perimeter_grid,
-                     rasterize)
+from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
+                     ShapeConfig, lamella_source_field, perimeter_exact,
+                     perimeter_grid, rasterize)
 from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
                     neumann_dirichlet_energy, solve_poisson_neumann,
                     solve_poisson_periodic, trig_interpolate)
@@ -129,7 +130,6 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
         if isinstance(mesh.shape, Lamella):
             # exact 1D profile: rasterization quantizes the interface
             # positions and would contaminate the residual at O(h)
-            from .shapes import LamellaPotential
             pot = LamellaPotential(Lamella(k=mesh.shape.k, m=mesh.shape.m,
                                            axis=0, dim=1))
             vmesh = pot.v(mesh.points[:, mesh.shape.axis])
@@ -240,6 +240,23 @@ def strip_disc_crossing() -> float:
 # semi-analytic nonlocal energy for graph perturbations
 # ---------------------------------------------------------------------------
 
+# q2 = B a + r with r = 1..B: each phase e^{-2 pi i q2 h} is one product of
+# an a-table and an r-table entry, so a height costs q2_modes/B + B exps
+_PHASE_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=4)     # 4 MB each at the default sizes
+def _mode_weights(n_lat: int, q2_modes: int) -> np.ndarray:
+    """2 / ((pi q2)^2 n_lat^2 4 pi^2 |xi|^2) for q2 = 1..q2_modes and the
+    fft order of q1, each entry twice (real and imaginary part), read-only."""
+    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
+    q2 = np.arange(1, q2_modes + 1)[:, None]
+    w = 2.0 / ((np.pi * q2 * n_lat) ** 2 * 4.0 * np.pi**2 * (q1**2 + q2**2))
+    out = np.repeat(w, 2, axis=1)
+    out.flags.writeable = False
+    return out
+
+
 def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
                           q2_modes: int = DEFAULT_Q2_MODES) -> float:
     """Nonlocal term of a graph perturbation, smooth in the heights.
@@ -250,29 +267,32 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     Unlike the rasterized pipeline this is differentiable in the heights,
     which finite-difference energy checks require.
     """
-    base = gp.base
-    k = base.k
+    if n_lat < 2:
+        raise ValidationError(f"n_lat must be >= 2, got {n_lat}")
+    if q2_modes < 1:
+        raise ValidationError(f"q2_modes must be >= 1, got {q2_modes}")
     hts = gp.heights(n_lat)                      # (2k, n_lat)
-    b = hts[0::2]
-    t = hts[1::2]
-    widths = (t - b) % 1.0
-    vol = float(widths.sum(axis=0).mean())
-    m_eff = 2.0 * vol - 1.0
-
     # q2 = 0 row: lateral variation of the strip widths
-    row0 = 2.0 * widths.sum(axis=0) - 1.0 - m_eff
-    c0 = np.fft.fft(row0) / n_lat
-    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
-    nz = q1 != 0
-    total = float(np.sum(np.abs(c0[nz]) ** 2 / (4.0 * np.pi**2 * q1[nz] ** 2)))
+    row0 = 2.0 * ((hts[1::2] - hts[0::2]) % 1.0).sum(axis=0)
+    c0 = np.fft.fft(row0 - row0.mean())[1:] / n_lat
+    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)[1:]
+    total = float(np.sum(np.abs(c0) ** 2 / (4.0 * np.pi**2 * q1**2)))
 
-    q2 = np.arange(1, q2_modes + 1)[:, None, None]
-    coef = (np.exp(-2j * np.pi * q2 * b[None]) - np.exp(-2j * np.pi * q2 * t[None]))
-    coef = coef.sum(axis=1) / (1j * np.pi * q2[:, 0, :])   # (Q, n_lat)
-    c = np.fft.fft(coef, axis=1) / n_lat
-    denom = 4.0 * np.pi**2 * (q1[None, :] ** 2 + q2[:, 0, :] ** 2)
-    total += 2.0 * float(np.sum(np.abs(c) ** 2 / denom))
-    return total
+    # q2 >= 1: sum over interfaces of -sgn e^{-2 pi i q2 h} (bottoms +, tops -);
+    # 1/(i pi q2), 1/n_lat and 1/(4 pi^2 |xi|^2) live in the weights
+    _, sgn = gp.base.interfaces()
+    n_blocks = -(-q2_modes // _PHASE_BLOCK)
+    h = -2j * np.pi * hts.T                      # (n_lat, 2k)
+    a_tab = np.exp(h[:, None, :] * (_PHASE_BLOCK * np.arange(n_blocks))[:, None]) * -sgn
+    r_tab = np.exp(h[:, :, None] * np.arange(1, _PHASE_BLOCK + 1))
+    coef = np.empty((n_blocks, _PHASE_BLOCK, n_lat), dtype=complex)
+    np.matmul(a_tab, r_tab, out=coef.transpose(2, 0, 1))   # sum over interfaces
+    coef = coef.reshape(-1, n_lat)[:q2_modes]
+    # in place: a fresh 4 MB result per call would cost ~1000 page faults
+    spec = np.fft.fft(coef, axis=1, out=coef).view(np.float64)
+    spec *= spec
+    spec *= _mode_weights(n_lat, q2_modes)
+    return total + float(spec.sum())
 
 
 def graph_energy(gp: GraphPerturbation, gamma: float,

@@ -51,14 +51,8 @@ class Lamella:
         Sign -1 marks a strip bottom (outer normal points down the axis),
         +1 a strip top.
         """
-        a = self.a
-        pos, sgn = [], []
-        for i in range(self.k):
-            pos.append(i / self.k)
-            sgn.append(-1.0)
-            pos.append(i / self.k + a / self.k)
-            sgn.append(1.0)
-        return np.array(pos), np.array(sgn)
+        i = np.arange(2 * self.k)       # bottom of strip i//2 at even i
+        return i // 2 / self.k + i % 2 * (self.a / self.k), 2.0 * (i % 2) - 1.0
 
     @property
     def interface_gap(self) -> float:
@@ -151,11 +145,18 @@ def _torus_dist(x, y):
 
 def resample_periodic(rows: np.ndarray, n: int) -> np.ndarray:
     """Trigonometric interpolant of periodic rows (node samples at j/n0)
-    evaluated at the n nodes j/n."""
+    evaluated at the n nodes j/n.  For n > n0 the half spectrum is
+    zero-padded, with the Nyquist cosine of an even n0 split in two."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if n == rows.shape[1]:
+    n0 = rows.shape[1]
+    if n == n0:
         return rows.copy()
-    return _eval_periodic_rows(rows, np.arange(n) / n)
+    if n < n0:
+        return _eval_periodic_rows(rows, np.arange(n) / n)
+    spec = np.fft.rfft(rows, axis=1)
+    if n0 % 2 == 0:
+        spec[:, -1] *= 0.5
+    return np.fft.irfft(spec, n=n, axis=1) * (n / n0)
 
 
 def periodic_derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
@@ -207,24 +208,14 @@ def _droplet_mask(d: Droplet, grid: TorusGrid):
 
 
 def _graph_mask(gp: GraphPerturbation, grid: TorusGrid):
-    base = gp.base
-    ax = base.axis
+    ax = gp.base.axis
     lat = 1 - ax  # lateral axis in 2D
-    n_lat = grid.sizes[lat]
     # heights at the lateral cell centers (offset by half a cell from nodes)
-    pos, _ = base.interfaces()
-    xc = grid.axis_coords(lat)
-    hts = pos[:, None] + _eval_periodic_rows(gp.psi, xc)
-    z = grid.axis_coords(ax)
-    inside = np.zeros((n_lat, grid.sizes[ax]), dtype=bool)
-    for i in range(base.k):
-        b = hts[2 * i][:, None]
-        t = hts[2 * i + 1][:, None]
-        zz = (z[None, :] - b) % 1.0
-        inside |= zz < ((t - b) % 1.0)
-    if ax == 1:
-        return inside
-    return inside.T
+    pos, _ = gp.base.interfaces()
+    hts = pos[:, None] + _eval_periodic_rows(gp.psi, grid.axis_coords(lat))
+    b, t = hts[0::2, :, None], hts[1::2, :, None]     # (k, n_lat, 1)
+    inside = ((grid.axis_coords(ax) - b) % 1.0 < (t - b) % 1.0).any(axis=0)
+    return inside if ax == 1 else inside.T
 
 
 def _eval_periodic_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -496,12 +487,6 @@ def recenter_translation(psi: np.ndarray, base: Lamella) -> np.ndarray:
     shift = np.zeros(base.dim)
     shift[base.axis] = sigma
     return shift
-
-
-def translation_defect(psi: np.ndarray, base: Lamella) -> float:
-    """|int (normal height) nu| along the stack axis, per unit interface."""
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    return abs(psi.mean(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy import linalg
 
 from .config import DEFAULT_FIELD_GRID, TOLERANCES
 from .energy import graph_energy, volume_corrected_perturbation
-from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
+from .shapes import (BoundaryMesh, GraphPerturbation, Lamella,
                      periodic_derivative, rasterize)
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     green2d_self_regularized, green_function_2d,
@@ -65,12 +65,6 @@ def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMa
     A = 8.0 * K + 4.0 * dnv * np.eye(2 * k)
     M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * (0.5 * (A + A.T))
     return LamellaModeMatrix(q, M, K, dnv)
-
-
-def lamella_normal_derivative(k: int, m: float) -> np.ndarray:
-    """Outward normal derivative of the lamella potential at each interface,
-    from the exact piecewise-quadratic profile (all equal to -a(1-a)/k)."""
-    return LamellaPotential(Lamella(k=k, m=m, axis=0, dim=1)).normal_derivative()
 
 
 @dataclass

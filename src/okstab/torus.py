@@ -167,13 +167,6 @@ def dirichlet_energy(v: ScalarField) -> float:
     return g.parseval(4.0 * np.pi**2 * g.ksq() * np.abs(g.rfft(v.values)) ** 2)
 
 
-def grid_inner(u: ScalarField, v: ScalarField) -> float:
-    """Grid approximation of the L2 inner product (unit total volume)."""
-    if u.grid != v.grid:
-        raise ValidationError("grid mismatch")
-    return float((u.values * v.values).mean())
-
-
 def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a field at arbitrary points.
 

@@ -90,6 +90,16 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["config", "out"])
+def test_missing_file_is_one_error_line(tmp_path, capsys, where):
+    missing = os.path.join(str(tmp_path), "nodir", "run.cfg")
+    argv = ["threshold", "--mode", "gamma", "--m", "0.0", f"--{where}", missing]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
+
+
 def test_config_supplies_required_options(tmp_path):
     cfg = os.path.join(str(tmp_path), "run.cfg")
     with open(cfg, "w") as fh:

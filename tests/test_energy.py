@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from okstab.energy import (EnergyBreakdown, el_residual, energy,
+from okstab.energy import (EnergyBreakdown, _mode_weights, el_residual, energy,
                            energy_neumann, graph_energy,
                            graph_nonlocal_energy, isoperimetric_compare,
                            lamella_closed_form, nonlocal_energy_field,
@@ -177,6 +177,61 @@ def test_graph_nonlocal_matches_closed_form_at_zero():
         gp = GraphPerturbation(lamella(k, m), np.zeros((2 * k, 32)))
         want = lamella_closed_form(k, m, 1.0).nonlocal_term
         assert abs(graph_nonlocal_energy(gp) - want) < 1e-8
+
+
+def _direct_graph_nonlocal(gp, n_lat, q2_modes):
+    """The graph nonlocal term with one np.exp per vertical mode and height."""
+    hts = gp.heights(n_lat)
+    b, t = hts[0::2], hts[1::2]
+    widths = (t - b) % 1.0
+    m_eff = 2.0 * float(widths.sum(axis=0).mean()) - 1.0
+    c0 = np.fft.fft(2.0 * widths.sum(axis=0) - 1.0 - m_eff) / n_lat
+    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
+    nz = q1 != 0
+    total = float(np.sum(np.abs(c0[nz]) ** 2 / (4.0 * np.pi**2 * q1[nz] ** 2)))
+    q2 = np.arange(1, q2_modes + 1)[:, None, None]
+    coef = np.exp(-2j * np.pi * q2 * b[None]) - np.exp(-2j * np.pi * q2 * t[None])
+    coef = coef.sum(axis=1) / (1j * np.pi * q2[:, 0, :])
+    c = np.fft.fft(coef, axis=1) / n_lat
+    denom = 4.0 * np.pi**2 * (q1[None, :] ** 2 + q2[:, 0, :] ** 2)
+    return total + 2.0 * float(np.sum(np.abs(c) ** 2 / denom))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [-0.3, 0.0, 0.2])
+def test_graph_nonlocal_matches_direct_formula(k, m):
+    base = lamella(k, m)
+    rng = np.random.default_rng(10 * k + int(10 * m))
+    psi = rng.normal(size=(2 * k, 16))
+    gp = volume_corrected_perturbation(
+        base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
+    for q2_modes in (1, 31, 100, 2048):
+        for n_lat in (64, 127, 128):
+            want = _direct_graph_nonlocal(gp, n_lat, q2_modes)
+            got = graph_nonlocal_energy(gp, n_lat, q2_modes)
+            assert abs(got - want) <= 1e-13 * want, (q2_modes, n_lat)
+
+
+def test_graph_mode_weights_cached_read_only():
+    gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
+    before = _mode_weights.cache_info().misses
+    graph_nonlocal_energy(gp, 24, 45)
+    graph_nonlocal_energy(gp, 24, 45)
+    assert _mode_weights.cache_info().misses == before + 1
+    w = _mode_weights(24, 45)
+    assert w.shape == (45, 48)
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kwargs, name", [({"n_lat": 1}, "n_lat"),
+                                          ({"q2_modes": 0}, "q2_modes"),
+                                          ({"q2_modes": -3}, "q2_modes")])
+def test_graph_energy_rejects_bad_sizes(kwargs, name):
+    gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
+    for fn, args in ((graph_nonlocal_energy, ()), (graph_energy, (1.0,))):
+        with pytest.raises(ValidationError, match=name):
+            fn(gp, *args, **kwargs)
 
 
 def test_volume_corrected_perturbation():

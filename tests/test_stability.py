@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from okstab.shapes import Droplet, GraphPerturbation, boundary_mesh, lamella
+from okstab.shapes import (Droplet, GraphPerturbation, Lamella, LamellaPotential,
+                           boundary_mesh, lamella)
 from okstab.stability import (_bloch_blocks, _bloch_vector,
                               _log_quadrature_block, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
-                              lamella_mode_matrix, lamella_normal_derivative,
-                              stability_threshold_gamma, stability_threshold_k,
-                              translation_form_value)
+                              lamella_mode_matrix, stability_threshold_gamma,
+                              stability_threshold_k, translation_form_value)
 from okstab.torus import ValidationError
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
@@ -46,7 +46,7 @@ def test_normal_derivative_scaling():
     for k in (1, 2, 5, 11):
         for m in (-0.4, 0.0, 0.6):
             a = (m + 1) / 2
-            dnv = lamella_normal_derivative(k, m)
+            dnv = LamellaPotential(Lamella(k, m, axis=0, dim=1)).normal_derivative()
             assert np.abs(dnv + a * (1 - a) / k).max() < 1e-14
 
 
