@@ -78,6 +78,8 @@ def cmd_energy(args):
 
 
 def cmd_stability_scan(args):
+    if args.k_min > args.k_max:
+        raise ValidationError(f"--k-min ({args.k_min}) exceeds --k-max ({args.k_max})")
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         rep = lamella_min_eigenvalue(k, args.m, args.gamma)
@@ -98,6 +100,10 @@ def cmd_threshold(args):
 
 
 def cmd_perturb_test(args):
+    for name in ("trials", "modes"):
+        value = getattr(args, name)
+        if value < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {value}")
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     rng = np.random.default_rng(args.seed)
     j0 = graph_energy(GraphPerturbation(base, np.zeros((2 * base.k, args.modes * 4))),

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .config import DEFAULT_FIELD_GRID, TOLERANCES
 from .energy import graph_energy, volume_corrected_perturbation
@@ -338,6 +337,8 @@ def constrained_min_eig(form: QuadraticFormMatrix,
     against the arc-length L^2 mass (norm="l2") or the full H^1 Gram
     (norm="h1").
     """
+    from scipy import linalg   # loaded on first use, not by import okstab
+
     C = np.atleast_2d(form.constraints)
     rank = np.linalg.matrix_rank(C, tol=1e-12)
     if rank < C.shape[0]:
@@ -407,6 +408,9 @@ def finite_difference_check(base: Lamella, psi: np.ndarray, gamma: float,
     sign times vertical height); the reported Richardson value
     extrapolates the two smallest step sizes.
     """
+    for t in t_list:
+        if not (np.isfinite(t) and t > 0):
+            raise ValidationError(f"t must be positive and finite, got {t!r}")
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     _, sgn = base.interfaces()
     j0 = graph_energy(GraphPerturbation(base, 0.0 * psi), gamma, n_lat).total
@@ -417,7 +421,7 @@ def finite_difference_check(base: Lamella, psi: np.ndarray, gamma: float,
 
     ts = sorted(t_list, reverse=True)
     d2 = [(j_at(t) + j_at(-t) - 2.0 * j0) / t**2 for t in ts]
-    if len(d2) >= 2 and abs(ts[0] / ts[1] - 2.0) < 1e-12:
+    if len(d2) >= 2 and abs(ts[-2] / ts[-1] - 2.0) < 1e-12:
         rich = (4.0 * d2[-1] - d2[-2]) / 3.0
     else:
         rich = d2[-1]

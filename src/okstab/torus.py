@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .config import MIN_GRID_SIZE, TOLERANCES, NumericalError, ValidationError
 
@@ -289,6 +288,8 @@ def solve_poisson_neumann(f: ScalarField) -> ScalarField:
 
     Uses the even (DCT-II) spectral extension; samples at cell centers.
     """
+    from scipy import fft as sfft   # loaded on first use, not by import okstab
+
     _check_mean_zero(f)
     fh = sfft.dctn(f.values, type=2, norm="ortho")
     lam = _neumann_eigs(f.grid)
@@ -310,6 +311,8 @@ def _neumann_eigs(grid: TorusGrid) -> np.ndarray:
 
 
 def neumann_laplacian(v: ScalarField) -> ScalarField:
+    from scipy import fft as sfft
+
     vh = sfft.dctn(v.values, type=2, norm="ortho")
     out = sfft.idctn(-_neumann_eigs(v.grid) * vh, type=2, norm="ortho")
     return ScalarField(v.grid, out)
@@ -317,6 +320,8 @@ def neumann_laplacian(v: ScalarField) -> ScalarField:
 
 def neumann_dirichlet_energy(v: ScalarField) -> float:
     """int |grad v|^2 over the unit box via the cosine Parseval sum."""
+    from scipy import fft as sfft
+
     vh = sfft.dctn(v.values, type=2, norm="ortho")
     ntot = v.grid.num_cells
     return float(np.sum(_neumann_eigs(v.grid) * vh**2) / ntot)

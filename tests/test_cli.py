@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -130,6 +132,49 @@ def test_readme_example_echoes_every_option(argv, tmp_path, monkeypatch):
     for key in ("command", "func", "out", "config"):
         del options[key]
     assert {f"{k}={v}" for k, v in options.items() if v is not None} <= echoed
+
+
+def test_readme_commands_load_no_scipy(tmp_path):
+    # scipy is loaded on first use only (Neumann box solver,
+    # constrained_min_eig, strip_disc_crossing); no README command needs it
+    import okstab
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
+    code = textwrap.dedent("""
+        import json, sys
+        import okstab.cli
+        from okstab.shapes import Droplet, save_shape
+        save_shape(Droplet((0.3, 0.4), 0.2), "a.shape")
+        save_shape(Droplet((0.6, 0.5), 0.22), "b.shape")
+        for i, argv in enumerate(json.loads(sys.argv[1])):
+            assert okstab.cli.dispatch(argv + ["--out", f"{i}.csv"]) == 0, argv
+        print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+    """)
+    commands = _readme_commands()
+    assert commands
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, check=True, env=env,
+                         cwd=str(tmp_path)).stdout
+    assert out.strip() == "[]"
+    assert len(list(tmp_path.glob("*.csv"))) == len(commands)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["fd-check", "--gamma", "1", "--t", "0"], "t must"),
+    (["fd-check", "--gamma", "1", "--t", "-0.01"], "t must"),
+    (["fd-check", "--gamma", "1", "--t", "nan"], "t must"),
+    (["perturb-test", "--gamma", "40", "--trials", "2", "--modes", "0"], "--modes"),
+    (["perturb-test", "--gamma", "40", "--trials", "0"], "--trials"),
+    (["stability-scan", "--m", "0", "--gamma", "5", "--k-min", "5", "--k-max", "3"],
+     "--k-min (5) exceeds --k-max (3)"),
+], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max"])
+def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named):
+    out = os.path.join(str(tmp_path), "out.csv")
+    assert dispatch(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not os.path.exists(out)
 
 
 def test_alpha_matches_library(tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests for the periodic spectral layer and the flow built on it.
+"""Property tests for the periodic spectral layer, the flow built on it and
+the FFT-based asymmetry index alpha_distance.
 
 Grids are drawn in dims 1-3 with odd and even sizes; the explicit examples
 make sure both parities of the last (half-spectrum) axis are always run.
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okstab.flow import FlowState, diffuse_energy, flow_step
+from okstab.shapes import alpha_distance
 from okstab.torus import ScalarField, laplacian, make_grid, solve_poisson_periodic
 
 sizes_st = st.integers(1, 3).flatmap(
@@ -95,3 +97,28 @@ def test_poisson_residual_band_limited(sizes, seed):
     v = solve_poisson_periodic(f)
     res = laplacian(v).values + f.values
     assert np.abs(res).max() <= 1e-10 * max(np.abs(f.values).max(), 1e-300)
+
+
+@prop
+@given(sizes=sizes_st, seed=seed_st)
+@_with_examples
+def test_alpha_is_translation_invariant_pseudometric(sizes, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(sizes), sizes)
+    axes = tuple(range(len(sizes)))
+    e, f, h = (ScalarField(g, np.where(rng.random(sizes) < p, 1.0, -1.0))
+               for p in (0.3, 0.5, 0.6))
+
+    def roll(u):
+        shift = tuple(int(s) for s in rng.integers(0, sizes))
+        return ScalarField(g, np.roll(u.values, shift, axis=axes))
+
+    def cells(a, b):
+        # alpha is a whole number of cells times the cell volume
+        return round(alpha_distance(a, b)[0] / g.cell_volume)
+
+    assert cells(e, e) == cells(e, roll(e)) == 0
+    ef = cells(e, f)
+    assert ef == cells(f, e) == cells(roll(e), f) == cells(e, roll(f))
+    assert cells(e, h) <= ef + cells(f, h)
+    assert cells(f, h) <= ef + cells(e, h)

@@ -228,6 +228,22 @@ def test_constrained_droplet_circle_spectrum():
         assert abs(translation_form_value(form, axis)) < 1e-6
 
 
+def test_constrained_min_eig_sees_rebound_eigh(monkeypatch):
+    # a tracer counts eigensolves by rebinding scipy.linalg.eigh, so the
+    # function must look it up on the module at call time
+    import scipy.linalg
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 0.0)
+    constrained_min_eig(form)
+    assert calls == [64 - 3]   # mean and two translations projected out
+
+
 def test_h1_normalization_smaller():
     mesh = boundary_mesh(lamella(1, 0.0), 128)
     form = assemble_boundary_form(mesh, 2.0)
@@ -244,6 +260,18 @@ def test_fd_check_single_mode():
     psi[0] = np.cos(2 * np.pi * x)
     rep = finite_difference_check(base, psi, 1.0)
     assert abs(rep.ratio - 1.0) < 0.01
+
+
+def test_fd_check_richardson_uses_two_smallest_steps():
+    # extrapolate only when the two smallest steps halve, whatever the others
+    x = np.arange(64) / 64
+    psi = np.zeros((2, 64))
+    psi[0] = np.cos(2 * np.pi * x)
+    rep = finite_difference_check(lamella(1, 0.0), psi, 1.0, t_list=(0.05, 0.02, 0.01))
+    d2 = rep.second_differences
+    assert rep.richardson == (4.0 * d2[-1] - d2[-2]) / 3.0
+    rep = finite_difference_check(lamella(1, 0.0), psi, 1.0, t_list=(0.04, 0.02, 0.005))
+    assert rep.richardson == rep.second_differences[-1]
 
 
 def _nyquist_rows(n):
