@@ -99,11 +99,14 @@ def cmd_threshold(args):
     return "param1,param2,kind,value", rows
 
 
+def _require_at_least(args, **lows):
+    for name, low in lows.items():
+        if not vars(args)[name] >= low:
+            raise ValidationError(f"--{name} must be >= {low}, got {vars(args)[name]}")
+
+
 def cmd_perturb_test(args):
-    for name in ("trials", "modes"):
-        value = getattr(args, name)
-        if value < 1:
-            raise ValidationError(f"--{name} must be at least 1, got {value}")
+    _require_at_least(args, trials=1, modes=1)
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     rng = np.random.default_rng(args.seed)
     j0 = graph_energy(GraphPerturbation(base, np.zeros((2 * base.k, args.modes * 4))),
@@ -156,17 +159,17 @@ def cmd_fd_check(args):
 
 
 def cmd_flow(args):
+    _require_at_least(args, stride=1, noise=0)
     grid = make_grid(2, (args.grid, args.grid))
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     u0 = tanh_profile(base, grid, args.epsilon)
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
-        mean0 = u0.mean()
         noisy = u0.values + args.noise * rng.standard_normal(grid.sizes)
-        u0 = ScalarField(grid, noisy - noisy.mean() + mean0)
+        u0 = ScalarField(grid, noisy - noisy.mean() + u0.mean())
     st = run_flow(u0, args.epsilon, args.gamma0, args.dt, args.steps,
                   stop_tol=args.stop_tol)
-    rows = st.energy_history[:: max(1, args.stride)]
+    rows = st.energy_history[::args.stride]
     if rows[-1][0] != st.energy_history[-1][0]:
         rows.append(st.energy_history[-1])
     return "step,t,energy", rows

@@ -240,9 +240,11 @@ def strip_disc_crossing() -> float:
 # semi-analytic nonlocal energy for graph perturbations
 # ---------------------------------------------------------------------------
 
-# q2 = B a + r with r = 1..B: each phase e^{-2 pi i q2 h} is one product of
-# an a-table and an r-table entry, so a height costs q2_modes/B + B exps
+# q2 = lo + a + r (lo a multiple of _CHUNK_ROWS, a of _PHASE_BLOCK, r = 1..
+# _PHASE_BLOCK), so a phase is a product of three table entries.  The mode sum
+# runs one in-cache chunk (~0.5 MB) at a time, via a contiguous matmul buffer
 _PHASE_BLOCK = 32
+_CHUNK_ROWS = 256
 
 
 @functools.lru_cache(maxsize=4)     # 4 MB each at the default sizes
@@ -281,18 +283,19 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     # q2 >= 1: sum over interfaces of -sgn e^{-2 pi i q2 h} (bottoms +, tops -);
     # 1/(i pi q2), 1/n_lat and 1/(4 pi^2 |xi|^2) live in the weights
     _, sgn = gp.base.interfaces()
-    n_blocks = -(-q2_modes // _PHASE_BLOCK)
     h = -2j * np.pi * hts.T                      # (n_lat, 2k)
-    a_tab = np.exp(h[:, None, :] * (_PHASE_BLOCK * np.arange(n_blocks))[:, None]) * -sgn
+    a_tab = np.exp(h[:, None, :] * np.arange(0, _CHUNK_ROWS, _PHASE_BLOCK)[:, None]) * -sgn
     r_tab = np.exp(h[:, :, None] * np.arange(1, _PHASE_BLOCK + 1))
-    coef = np.empty((n_blocks, _PHASE_BLOCK, n_lat), dtype=complex)
-    np.matmul(a_tab, r_tab, out=coef.transpose(2, 0, 1))   # sum over interfaces
-    coef = coef.reshape(-1, n_lat)[:q2_modes]
-    # in place: a fresh 4 MB result per call would cost ~1000 page faults
-    spec = np.fft.fft(coef, axis=1, out=coef).view(np.float64)
-    spec *= spec
-    spec *= _mode_weights(n_lat, q2_modes)
-    return total + float(spec.sum())
+    prod = np.empty((n_lat, _CHUNK_ROWS // _PHASE_BLOCK, _PHASE_BLOCK), dtype=complex)
+    coef = np.empty((_CHUNK_ROWS, n_lat), dtype=complex)
+    for lo in range(0, q2_modes, _CHUNK_ROWS):
+        np.matmul(a_tab * np.exp(h * lo)[:, None], r_tab, out=prod)   # sum over interfaces
+        chunk = coef[:min(_CHUNK_ROWS, q2_modes - lo)]
+        chunk[...] = prod.reshape(n_lat, -1)[:, :len(chunk)].T
+        spec = np.fft.fft(chunk, axis=1, out=chunk).view(np.float64)
+        spec *= spec
+        total += float(np.vdot(_mode_weights(n_lat, q2_modes)[lo:lo + len(chunk)], spec))
+    return total
 
 
 def graph_energy(gp: GraphPerturbation, gamma: float,

@@ -63,8 +63,11 @@ class FlowState:
     stop_reason: str | None = None   # set by run_flow: "converged" or "max_steps"
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.gamma0 < 0:
-            raise ValidationError("need epsilon > 0 and gamma0 >= 0")
+        for name, sign in (("epsilon", "positive"), ("gamma0", "nonnegative"),
+                           ("dt", "positive")):
+            value = getattr(self, name)
+            if not (0 < value if sign == "positive" else 0 <= value) or value == np.inf:
+                raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
         if self.mean0 is None:
             self.mean0 = self.u.mean()
         if not self.energy_history:
@@ -85,10 +88,9 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
     of u is reproduced identically.  If the energy increases beyond
     round-off the step is rejected and dt halved.
     """
-    if dt is None:
-        dt = state.dt
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    dt = state.dt if dt is None else dt
+    if not 0.0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     if state.step % 100 == 0 or state.stabilization == 0.0:
         # S = 2 max|W''| / eps over the current iterate, W(u) = (u^2-1)^2
         sup = float(np.abs(3.0 * state.u.values**2 - 1.0).max())
@@ -132,6 +134,8 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
              max_steps: int, stop_tol: float = 0.0) -> FlowState:
     """Iterate flow_step until the projected gradient is below stop_tol or
     max_steps is reached; the final state records which in stop_reason."""
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     state = FlowState(u0.copy(), epsilon, gamma0, dt=dt)
     for _ in range(max_steps):
         flow_step(state)

@@ -159,6 +159,9 @@ def test_readme_commands_load_no_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == len(commands)
 
 
+_FLOW = ["flow", "--epsilon", "0.0625", "--grid", "16", "--steps", "2"]
+
+
 @pytest.mark.parametrize("argv,named", [
     (["fd-check", "--gamma", "1", "--t", "0"], "t must"),
     (["fd-check", "--gamma", "1", "--t", "-0.01"], "t must"),
@@ -167,7 +170,14 @@ def test_readme_commands_load_no_scipy(tmp_path):
     (["perturb-test", "--gamma", "40", "--trials", "0"], "--trials"),
     (["stability-scan", "--m", "0", "--gamma", "5", "--k-min", "5", "--k-max", "3"],
      "--k-min (5) exceeds --k-max (3)"),
-], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max"])
+    (_FLOW + ["--stride", "0"], "--stride"),
+    (_FLOW + ["--noise", "-0.01"], "--noise"),
+    (_FLOW + ["--noise", "nan"], "--noise"),
+    (_FLOW + ["--steps", "-5"], "max_steps"),
+    (_FLOW + ["--dt", "nan"], "dt must"),
+    (["flow", "--epsilon", "inf", "--grid", "16"], "epsilon must"),
+], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
+        "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf"])
 def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named):
     out = os.path.join(str(tmp_path), "out.csv")
     assert dispatch(argv + ["--out", out]) == 1

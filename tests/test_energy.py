@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,9 @@ def test_graph_nonlocal_matches_direct_formula(k, m):
     psi = rng.normal(size=(2 * k, 16))
     gp = volume_corrected_perturbation(
         base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
-    for q2_modes in (1, 31, 100, 2048):
+    # the mode sum runs in chunks of _CHUNK_ROWS = 256 rows: cut below, at
+    # and above one chunk, one mode short of the default and past it
+    for q2_modes in (1, 31, 100, 255, 256, 257, 2047, 2048, 2300):
         for n_lat in (64, 127, 128):
             want = _direct_graph_nonlocal(gp, n_lat, q2_modes)
             got = graph_nonlocal_energy(gp, n_lat, q2_modes)
@@ -222,6 +226,22 @@ def test_graph_mode_weights_cached_read_only():
     assert w.shape == (45, 48)
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
+
+
+def test_graph_nonlocal_allocates_one_chunk_not_the_mode_table():
+    # a (q2_modes, n_lat) complex table at the default sizes is 4 MB
+    base = lamella(1, 0.0)
+    psi = np.random.default_rng(5).normal(size=(2, 16))
+    gp = volume_corrected_perturbation(
+        base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
+    graph_nonlocal_energy(gp)               # warms the weight cache
+    tracemalloc.start()
+    try:
+        graph_nonlocal_energy(gp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("kwargs, name", [({"n_lat": 1}, "n_lat"),

@@ -168,3 +168,26 @@ def test_invalid_parameters():
     st = FlowState(u, epsilon=0.1, gamma0=0.0)
     with pytest.raises(ValidationError):
         flow_step(st, dt=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),
+    ("gamma0", float("nan")), ("gamma0", float("inf")), ("gamma0", -1.0),
+    ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0), ("dt", -1e-4)])
+def test_nonfinite_or_out_of_range_parameter_is_named(name, value):
+    u = ScalarField(make_grid(1, (16,)), np.zeros(16))
+    params = {"epsilon": 0.1, "gamma0": 0.0, "dt": 1e-4, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        FlowState(u, **params)
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        run_flow(u, params["epsilon"], params["gamma0"], params["dt"], 3)
+    if name == "dt":
+        with pytest.raises(ValidationError, match="^dt must be"):
+            flow_step(FlowState(u, 0.1, 0.0), dt=value)
+
+
+def test_negative_max_steps_is_rejected():
+    u = ScalarField(make_grid(1, (16,)), np.zeros(16))
+    with pytest.raises(ValidationError, match="max_steps"):
+        run_flow(u, 0.1, 0.0, 1e-4, -5)
+    assert run_flow(u, 0.1, 0.0, 1e-4, 0).stop_reason == "max_steps"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okstab.shapes import (Droplet, GraphPerturbation, Lamella, LamellaPotential,
                            boundary_mesh, lamella)
@@ -154,6 +156,16 @@ def test_threshold_gamma_monotone_in_k():
         assert all(a < b for a, b in zip(finite, finite[1:])), m
         if m == 0.0:
             assert gcs[-1] is None and len(finite) == 27
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(m=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+       k=st.integers(1, 20))
+def test_threshold_gamma_increases_with_strip_count(m, k):
+    # a finite gamma_c for every k <= 21 and |m| < 1/2 (about 8e5 at the edge)
+    lo = stability_threshold_gamma(m, k).gamma_c
+    hi = stability_threshold_gamma(m, k + 1).gamma_c
+    assert lo is not None and hi is not None and lo < hi, (m, k, lo, hi)
 
 
 def test_small_gamma_always_stable():
