@@ -102,11 +102,14 @@ def cmd_threshold(args):
 def _require_at_least(args, **lows):
     for name, low in lows.items():
         if not vars(args)[name] >= low:
-            raise ValidationError(f"--{name} must be >= {low}, got {vars(args)[name]}")
+            raise ValidationError(f"--{name.replace('_', '-')} must be >= {low}, "
+                                  f"got {vars(args)[name]}")
 
 
 def cmd_perturb_test(args):
     _require_at_least(args, trials=1, modes=1)
+    if not 0 < args.amplitude < np.inf:
+        raise ValidationError(f"--amplitude must be > 0 and finite, got {args.amplitude}")
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     rng = np.random.default_rng(args.seed)
     j0 = graph_energy(GraphPerturbation(base, np.zeros((2 * base.k, args.modes * 4))),
@@ -159,7 +162,7 @@ def cmd_fd_check(args):
 
 
 def cmd_flow(args):
-    _require_at_least(args, stride=1, noise=0)
+    _require_at_least(args, stride=1, noise=0, stop_tol=0)
     grid = make_grid(2, (args.grid, args.grid))
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     u0 = tanh_profile(base, grid, args.epsilon)

@@ -23,6 +23,11 @@ from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
                     solve_poisson_periodic, trig_interpolate)
 
 
+def _check_gamma(gamma: float):
+    if not 0.0 <= gamma < np.inf:
+        raise ValidationError("gamma must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     perimeter: float
@@ -30,8 +35,7 @@ class EnergyBreakdown:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValidationError("gamma must be nonnegative")
+        _check_gamma(self.gamma)
         if self.nonlocal_term < -1e-14:
             raise ValidationError("nonlocal term must be nonnegative")
 
@@ -61,8 +65,7 @@ def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
     the spectral solve on the (rasterized) indicator.  Lamellae reduce to a
     1D solve along their axis.
     """
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    _check_gamma(gamma)
     if isinstance(obj, ScalarField):
         return EnergyBreakdown(perimeter_grid(obj), nonlocal_energy_field(obj), gamma)
     shape: ShapeConfig = obj
@@ -87,8 +90,7 @@ def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
 
 def optimal_strip_count(m: float, gamma: float, k_max: int = 10_000) -> int:
     """argmin over k >= 1 of the closed-form lamella energy (ties -> smaller k)."""
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    _check_gamma(gamma)
     a = 0.5 * (m + 1.0)
     c = gamma * a * a * (1.0 - a) ** 2 / 3.0
 
@@ -122,6 +124,7 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
     sampled at the mesh points by trigonometric interpolation; lambda is the
     arc-length-weighted mean of H + 4 gamma v.
     """
+    _check_gamma(gamma)
     if mesh.shape is None:
         raise ValidationError("mesh carries no shape; rasterization impossible")
     g = grid if grid is not None else _default_grid(2)
@@ -227,13 +230,15 @@ def isoperimetric_compare(m: float, dim: int):
 
 def strip_disc_crossing() -> float:
     """|m| at which the strip and disc perimeters coincide in T^2."""
-    from scipy.optimize import brentq   # keeps scipy.optimize out of import okstab
-
     def diff(m):
         rows, _ = isoperimetric_compare(m, 2)
         per = {r["name"]: r["perimeter"] for r in rows}
         return per["disc"] - per["strip"]
-    return float(brentq(diff, 0.0, 0.99, xtol=1e-12))
+    lo, hi = 0.0, 0.99          # the disc is longer at lo, shorter at hi
+    for _ in range(60):         # 0.99 / 2^60 is below the spacing of doubles
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if diff(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ def _quadratic_symbol(grid: TorusGrid, epsilon: float, gamma0: float):
 
 def diffuse_energy(u: ScalarField, epsilon: float, gamma0: float) -> float:
     """E_eps(u): one Parseval sum over uhat for the quadratic terms, plus the well."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0 <= gamma0 < np.inf:
+        raise ValidationError(f"gamma0 must be nonnegative and finite, got {gamma0!r}")
     g = u.grid
     well = float(((u.values**2 - 1.0) ** 2).mean()) / epsilon
     return g.parseval(_quadratic_symbol(g, epsilon, gamma0)
@@ -136,6 +138,8 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
     max_steps is reached; the final state records which in stop_reason."""
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
+    if not stop_tol >= 0:
+        raise ValidationError(f"stop_tol must be >= 0, got {stop_tol}")
     state = FlowState(u0.copy(), epsilon, gamma0, dt=dt)
     for _ in range(max_steps):
         flow_step(state)

@@ -23,7 +23,7 @@ from .config import DEFAULT_FIELD_GRID, TOLERANCES
 from .energy import graph_energy, volume_corrected_perturbation
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella,
                      periodic_derivative, rasterize)
-from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
+from .torus import (NumericalError, ScalarField, ValidationError,
                     green2d_self_regularized, green_function_2d,
                     green_kernel_screened, make_grid, solve_poisson_periodic,
                     spectral_gradient, trig_interpolate)
@@ -225,8 +225,7 @@ def _log_quadrature_block(n: int) -> np.ndarray:
     return ((cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2)[inv].reshape(n, n)
 
 
-def assemble_boundary_form(mesh: BoundaryMesh, gamma: float,
-                           grid: TorusGrid | None = None) -> QuadraticFormMatrix:
+def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMatrix:
     """Dense second-variation form on a T^2 boundary mesh.
 
     Blocks: tangential Dirichlet energy (spectral differentiation per
@@ -235,6 +234,8 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float,
     quadrature on the self panels, and the 4 gamma (normal derivative of v)
     mass term.
     """
+    if not 0.0 <= gamma < np.inf:
+        raise ValidationError("gamma must be finite and nonnegative")
     n = len(mesh.points)
     W = mesh.weights
     A = np.zeros((n, n))
@@ -298,7 +299,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float,
             dnv = np.full(len(W), -mesh.shape.a * (1.0 - mesh.shape.a)
                           / mesh.shape.k)
         else:
-            g = grid if grid is not None else make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
+            g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
             u = rasterize(mesh.shape, g)
             v = solve_poisson_periodic(ScalarField(g, u.values - u.mean()))
             gx, gy = spectral_gradient(v)
@@ -335,10 +336,8 @@ def constrained_min_eig(form: QuadraticFormMatrix,
     Constraints (total mean and the translation functionals with nonzero
     frame norm) are removed by an SVD nullspace; the quotient is taken
     against the arc-length L^2 mass (norm="l2") or the full H^1 Gram
-    (norm="h1").
+    (norm="h1"), whitened by its Cholesky factor for one symmetric eigh.
     """
-    from scipy import linalg   # loaded on first use, not by import okstab
-
     C = np.atleast_2d(form.constraints)
     rank = np.linalg.matrix_rank(C, tol=1e-12)
     if rank < C.shape[0]:
@@ -348,8 +347,9 @@ def constrained_min_eig(form: QuadraticFormMatrix,
     B = np.diag(form.weights) if norm == "l2" else form.h1
     Ared = Z.T @ form.matrix @ Z
     Bred = Z.T @ B @ Z
-    w, V = linalg.eigh(0.5 * (Ared + Ared.T), 0.5 * (Bred + Bred.T))
-    vec = Z @ V[:, 0]
+    Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Bred + Bred.T)))
+    w, U = np.linalg.eigh(Li @ (0.5 * (Ared + Ared.T)) @ Li.T)
+    vec = Z @ (Li.T @ U[:, 0])
     return StabilityReport(float(w[0]), "constrained", vec,
                            scan={"norm": norm, "n": form.matrix.shape[0],
                                  "n_constraints": C.shape[0]})

@@ -2,7 +2,8 @@
 
 Grids, scalar fields, the mean-zero Poisson solver for -Lap v = f, Dirichlet
 energies via Parseval, closed-form screened Green kernels on the circle, the
-two-dimensional torus Green function, and a homogeneous-Neumann box solver.
+two-dimensional torus Green function, and a homogeneous-Neumann box solver
+(the periodic solver applied to the even reflection of the box).
 
 Conventions: the torus is [0,1)^d with unit volume; samples live at cell
 centers x_j = (j + 1/2) h.  Fields are transformed to the rfftn half
@@ -280,51 +281,38 @@ def green2d_self_regularized(tol: float = TOLERANCES.kernel_tail) -> float:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous Neumann box solver (unit box, cosine extension)
+# homogeneous Neumann box solver (unit box, even reflection)
 # ---------------------------------------------------------------------------
+
+def _reflect(v: ScalarField) -> ScalarField:
+    """Even reflection of a box field onto [0, 2]^dim, sampled on the unit
+    torus with twice the points per axis, where its Laplacian is 1/4 of the
+    box's.  Cell centers map to cell centers, so the reflection is periodic."""
+    vals = v.values
+    for axis in range(v.grid.dim):
+        vals = np.concatenate([vals, np.flip(vals, axis)], axis=axis)
+    return ScalarField(make_grid(v.grid.dim, vals.shape), vals)
+
+
+def _crop(w: ScalarField, grid: TorusGrid, scale: float) -> ScalarField:
+    return ScalarField(grid, scale * w.values[tuple(slice(n) for n in grid.sizes)])
+
 
 def solve_poisson_neumann(f: ScalarField) -> ScalarField:
     """Solve -Lap v = f on the unit box with dv/dn = 0, mean(v) = 0.
 
-    Uses the even (DCT-II) spectral extension; samples at cell centers.
+    The periodic solve of the even reflection, times 4, cropped to the box.
     """
-    from scipy import fft as sfft   # loaded on first use, not by import okstab
-
-    _check_mean_zero(f)
-    fh = sfft.dctn(f.values, type=2, norm="ortho")
-    lam = _neumann_eigs(f.grid)
-    vh = np.zeros_like(fh)
-    nz = lam > 0
-    vh[nz] = fh[nz] / lam[nz]
-    v = sfft.idctn(vh, type=2, norm="ortho")
-    return ScalarField(f.grid, v)
-
-
-def _neumann_eigs(grid: TorusGrid) -> np.ndarray:
-    out = np.zeros(grid.sizes)
-    for axis, n in enumerate(grid.sizes):
-        k = np.arange(n, dtype=float)
-        shape = [1] * grid.dim
-        shape[axis] = n
-        out = out + ((np.pi * k) ** 2).reshape(shape)
-    return out
+    return _crop(solve_poisson_periodic(_reflect(f)), f.grid, 4.0)
 
 
 def neumann_laplacian(v: ScalarField) -> ScalarField:
-    from scipy import fft as sfft
-
-    vh = sfft.dctn(v.values, type=2, norm="ortho")
-    out = sfft.idctn(-_neumann_eigs(v.grid) * vh, type=2, norm="ortho")
-    return ScalarField(v.grid, out)
+    return _crop(laplacian(_reflect(v)), v.grid, 0.25)
 
 
 def neumann_dirichlet_energy(v: ScalarField) -> float:
-    """int |grad v|^2 over the unit box via the cosine Parseval sum."""
-    from scipy import fft as sfft
-
-    vh = sfft.dctn(v.values, type=2, norm="ortho")
-    ntot = v.grid.num_cells
-    return float(np.sum(_neumann_eigs(v.grid) * vh**2) / ntot)
+    """int |grad v|^2 over the unit box: a quarter of the reflection's."""
+    return 0.25 * dirichlet_energy(_reflect(v))
 
 
 # ---------------------------------------------------------------------------

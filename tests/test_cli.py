@@ -135,8 +135,7 @@ def test_readme_example_echoes_every_option(argv, tmp_path, monkeypatch):
 
 
 def test_readme_commands_load_no_scipy(tmp_path):
-    # scipy is loaded on first use only (Neumann box solver,
-    # constrained_min_eig, strip_disc_crossing); no README command needs it
+    # every README command, run in one process, loads numpy alone
     import okstab
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
@@ -160,6 +159,7 @@ def test_readme_commands_load_no_scipy(tmp_path):
 
 
 _FLOW = ["flow", "--epsilon", "0.0625", "--grid", "16", "--steps", "2"]
+_PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -176,8 +176,21 @@ _FLOW = ["flow", "--epsilon", "0.0625", "--grid", "16", "--steps", "2"]
     (_FLOW + ["--steps", "-5"], "max_steps"),
     (_FLOW + ["--dt", "nan"], "dt must"),
     (["flow", "--epsilon", "inf", "--grid", "16"], "epsilon must"),
+    (_FLOW + ["--stop-tol", "-1"], "--stop-tol"),
+    (_FLOW + ["--stop-tol", "nan"], "--stop-tol"),
+    (_PERTURB + ["--amplitude", "0"], "--amplitude"),
+    (_PERTURB + ["--amplitude", "-0.1"], "--amplitude"),
+    (_PERTURB + ["--amplitude", "nan"], "--amplitude"),
+    (_PERTURB + ["--amplitude", "inf"], "--amplitude"),
+    (["criticality", "--shape", "droplet", "--gamma", "nan"], "gamma must"),
+    (["energy", "--shape", "lamella", "--gamma", "nan"], "gamma must"),
+    (["energy", "--shape", "lamella", "--gamma", "inf"], "gamma must"),
+    (["fd-check", "--gamma", "nan"], "gamma must"),
 ], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
-        "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf"])
+        "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
+        "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
+        "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
+        "fd-check-gamma=nan"])
 def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named):
     out = os.path.join(str(tmp_path), "out.csv")
     assert dispatch(argv + ["--out", out]) == 1
@@ -242,14 +255,33 @@ def test_thread_cap_applies_at_import():
     assert bad.returncode == 1 and "OKSTAB_THREADS" in bad.stderr
 
 
-def test_import_leaves_out_scipy_optimize():
+def test_library_runs_without_scipy():
+    # the Neumann box solver, the constrained eigensolve in both norms and
+    # the strip/disc crossing are numpy alone; scipy is a test oracle only
     import okstab
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
-    code = "import sys, okstab; print('scipy.optimize' in sys.modules)"
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from okstab import (Droplet, assemble_boundary_form, boundary_mesh,
+                            constrained_min_eig, energy_neumann, make_grid,
+                            rasterize, solve_poisson_neumann, strip_disc_crossing)
+        from okstab.torus import ScalarField, neumann_laplacian
+        g = make_grid(2, (32, 32))
+        u = rasterize(Droplet((0.5, 0.5), 0.2), g)
+        v = solve_poisson_neumann(ScalarField(g, u.values - u.mean()))
+        neumann_laplacian(v)
+        energy_neumann(u, 1.0)
+        form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 1.0)
+        constrained_min_eig(form, norm="l2")
+        constrained_min_eig(form, norm="h1")
+        strip_disc_crossing()
+        print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_iso_compare_flags_minimum(tmp_path):

@@ -62,6 +62,28 @@ def test_optimal_strip_count():
     assert all(a <= b for a, b in zip(ks, ks[1:]))
 
 
+BAD_GAMMAS = [float("nan"), float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_breakdown_rejects_bad_gamma(gamma):
+    with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
+        EnergyBreakdown(2.0, 0.1, gamma)
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_energy_rejects_bad_gamma(gamma):
+    with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
+        energy(lamella(1, 0.0), gamma)
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_el_residual_rejects_bad_gamma(gamma):
+    mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)
+    with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
+        el_residual(mesh, gamma)
+
+
 def test_el_residual_lamella():
     for gamma in (0.5, 5.0, 50.0):
         mesh = boundary_mesh(lamella(2, 0.3), 128)
@@ -150,7 +172,7 @@ def test_energy_neumann_interface_at_wall_rejected():
 
 def test_isoperimetric_2d():
     crossing = strip_disc_crossing()
-    assert abs(crossing - (1 - 2 / np.pi)) < 1e-9
+    assert abs(crossing - (1 - 2 / np.pi)) < 1e-12
     rows, best = isoperimetric_compare(0.0, 2)
     per = {r["name"]: r["perimeter"] for r in rows}
     assert per["strip"] == 2.0

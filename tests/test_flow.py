@@ -186,6 +186,23 @@ def test_nonfinite_or_out_of_range_parameter_is_named(name, value):
             flow_step(FlowState(u, 0.1, 0.0), dt=value)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),
+    ("gamma0", float("nan")), ("gamma0", float("inf")), ("gamma0", -1.0)])
+def test_diffuse_energy_names_bad_parameter(name, value):
+    u = ScalarField(make_grid(1, (16,)), np.zeros(16))
+    params = {"epsilon": 0.1, "gamma0": 0.0, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        diffuse_energy(u, **params)
+
+
+@pytest.mark.parametrize("stop_tol", [-1.0, float("nan")])
+def test_negative_or_nan_stop_tol_is_rejected(stop_tol):
+    u = ScalarField(make_grid(1, (16,)), np.zeros(16))
+    with pytest.raises(ValidationError, match="^stop_tol must be"):
+        run_flow(u, 0.1, 0.0, 1e-4, 3, stop_tol=stop_tol)
+
+
 def test_negative_max_steps_is_rejected():
     u = ScalarField(make_grid(1, (16,)), np.zeros(16))
     with pytest.raises(ValidationError, match="max_steps"):

@@ -241,19 +241,44 @@ def test_constrained_droplet_circle_spectrum():
 
 
 def test_constrained_min_eig_sees_rebound_eigh(monkeypatch):
-    # a tracer counts eigensolves by rebinding scipy.linalg.eigh, so the
+    # a tracer counts eigensolves by rebinding np.linalg.eigh, so the
     # function must look it up on the module at call time
-    import scipy.linalg
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def counting(*args, **kwargs):
         calls.append(len(args[0]))
         return eigh(*args, **kwargs)
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
     form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 0.0)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     constrained_min_eig(form)
     assert calls == [64 - 3]   # mean and two translations projected out
+
+
+@pytest.mark.parametrize("norm", ["l2", "h1"])
+@pytest.mark.parametrize("shape, gamma", [(Droplet((0.4, 0.55), 0.22), 1.5),
+                                          (lamella(1, 0.2), 2.0)],
+                         ids=["droplet", "lamella"])
+def test_constrained_min_eig_matches_generalized_eigh(shape, gamma, norm):
+    # oracle: LAPACK's generalized symmetric solver on the same reduction
+    from scipy.linalg import eigh
+    form = assemble_boundary_form(boundary_mesh(shape, 96), gamma)
+    rep = constrained_min_eig(form, norm=norm)
+    _, _, Vt = np.linalg.svd(form.constraints)
+    Z = Vt[len(form.constraints):].T
+    B = np.diag(form.weights) if norm == "l2" else form.h1
+    want = eigh(Z.T @ form.matrix @ Z, Z.T @ B @ Z, eigvals_only=True)[0]
+    assert abs(rep.min_eigenvalue - want) <= 1e-10 * abs(want)
+    vec = rep.eigenvector
+    assert abs(vec @ form.matrix @ vec / (vec @ B @ vec) - want) <= 1e-10 * abs(want)
+    assert np.abs(form.constraints @ vec).max() < 1e-10 * np.abs(vec).max()
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+def test_boundary_form_rejects_bad_gamma(gamma):
+    mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)
+    with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
+        assemble_boundary_form(mesh, gamma)
 
 
 def test_h1_normalization_smaller():

@@ -6,9 +6,9 @@ import pytest
 
 from okstab.torus import (ScalarField, ValidationError, dirichlet_energy,
                           green2d_self_regularized, green_function_2d,
-                          green_kernel_screened, laplacian,
-                          load_field, make_grid, neumann_laplacian,
-                          save_field, solve_poisson_neumann,
+                          green_kernel_screened, laplacian, load_field,
+                          make_grid, neumann_dirichlet_energy,
+                          neumann_laplacian, save_field, solve_poisson_neumann,
                           solve_poisson_periodic, spectral_gradient,
                           trig_interpolate)
 
@@ -168,14 +168,18 @@ def test_neumann_flux_and_residual():
     u = np.where((X - 0.3) ** 2 + (Y - 0.55) ** 2 <= 0.04, 1.0, -1.0)
     f = ScalarField(g, u - u.mean())
     v = solve_poisson_neumann(f)
-    # the Neumann problem on the box is the periodic one for the even
-    # reflection on [0, 2]^2; solved on the unit torus with twice the
-    # grid, the Laplacian is rescaled by 4, so that solution is v / 4
-    g2 = make_grid(2, (256, 256))
-    even = np.block([[f.values, f.values[:, ::-1]],
-                     [f.values[::-1, :], f.values[::-1, ::-1]]])
-    w = solve_poisson_periodic(ScalarField(g2, even))
-    assert np.abs(v.values - 4.0 * w.values[:128, :128]).max() < 1e-12
+    # independent oracle: the cosine (DCT-II) expansion on cell centers,
+    # whose modes cos(pi k x) have eigenvalues pi^2 |k|^2
+    from scipy.fft import dctn, idctn
+    k = np.arange(128)
+    lam = np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
+    fh = dctn(f.values, type=2, norm="ortho")
+    want = idctn(np.divide(fh, lam, out=np.zeros_like(fh), where=lam > 0),
+                 type=2, norm="ortho")
+    assert np.abs(v.values - want).max() < 1e-12 * np.abs(want).max()
+    # int |grad v|^2 = int v f, since -Lap v = f and the flux vanishes
+    want_energy = float(np.mean(want * f.values))
+    assert abs(neumann_dirichlet_energy(v) - want_energy) < 1e-12 * want_energy
     assert np.abs(neumann_laplacian(v).values + f.values).max() < 1e-10
     z = solve_poisson_neumann(ScalarField(g, np.zeros(g.sizes)))
     assert np.abs(z.values).max() == 0.0
