@@ -133,9 +133,7 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
         if isinstance(mesh.shape, Lamella):
             # exact 1D profile: rasterization quantizes the interface
             # positions and would contaminate the residual at O(h)
-            pot = LamellaPotential(Lamella(k=mesh.shape.k, m=mesh.shape.m,
-                                           axis=0, dim=1))
-            vmesh = pot.v(mesh.points[:, mesh.shape.axis])
+            vmesh = LamellaPotential(mesh.shape).v(mesh.points[:, mesh.shape.axis])
         else:
             u = rasterize(mesh.shape, g)
             v = solve_poisson_periodic(ScalarField(g, u.values - u.mean()))

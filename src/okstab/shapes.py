@@ -3,7 +3,7 @@
 Lamellae (k equally spaced strips), droplets, and normal-graph perturbations
 of a lamella; rasterization to +-1 indicator fields, exact and grid-based
 perimeters, the translation-modded asymmetry index alpha, boundary meshes in
-T^2, and the closed-form piecewise-quadratic lamella potential.
+T^2, and the closed-form lamella potential (interface sums of g0).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLERANCES, read_key_values
-from .torus import (ScalarField, TorusGrid, ValidationError, make_grid)
+from .torus import (ScalarField, TorusGrid, ValidationError, green_kernel_screened,
+                    make_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -490,82 +491,42 @@ def recenter_translation(psi: np.ndarray, base: Lamella) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form lamella potential (piecewise quadratic)
+# closed-form lamella potential (interface sums of the circle kernel g0)
 # ---------------------------------------------------------------------------
 
 class LamellaPotential:
     """Exact potential of a lamella: v'' = -(u - m), periodic, mean zero.
 
-    Built by piecewise integration; v is piecewise quadratic, v' piecewise
-    linear and continuous.  Exposes pointwise values, the (constant) outward
-    normal derivative at the interfaces, and the exact Dirichlet energy.
+    v = 2 int_E g0(. - y) dy, with g0 the mean-zero circle kernel, is a
+    signed sum over the interfaces s_i (sign -1 at a bottom, +1 at a top):
+    v = -2 sum_i sgn_i P(. - s_i), with P(s) = s(s - 1/2)(s - 1)/6 the
+    periodic mean-zero antiderivative of g0, and v' = -2 sum_i sgn_i g0(. - s_i).
+    The convolution g0 * g0 is 1/720 - Q with Q(s) = s^2 (1 - s)^2 / 24, and
+    sum_i sgn_i = 0, so int v'^2 = -4 sum_ij sgn_i sgn_j Q(s_i - s_j).
     """
 
     def __init__(self, shape: Lamella):
         self.shape = shape
-        pos, sgn = shape.interfaces()
-        order = np.argsort(pos)
-        bpts = pos[order]
-        self.breakpoints = np.append(bpts, bpts[0] + 1.0)
-        # u on the interval following breakpoint j: +1 after a bottom (-1 sign)
-        self.u_vals = np.where(sgn[order] < 0, 1.0, -1.0)
-        m = shape.m
-        f = self.u_vals - m
-        # raw integration with v'(b0)=0, v(b0)=0
-        nseg = len(f)
-        widths = np.diff(self.breakpoints)
-        vp = np.zeros(nseg + 1)
-        vv = np.zeros(nseg + 1)
-        for j in range(nseg):
-            vp[j + 1] = vp[j] - f[j] * widths[j]
-            vv[j + 1] = vv[j] + vp[j] * widths[j] - 0.5 * f[j] * widths[j] ** 2
-        # add c*x so that v is periodic: v(b0+1) - v(b0) + c = 0
-        c = -vv[-1]
-        self._c = c
-        self._f = f
-        self._vp0 = vp[:-1] + c
-        # mean-zero constant: integrate the piecewise quadratic exactly
-        vv0 = vv[:-1] + c * (self.breakpoints[:-1] - self.breakpoints[0])
-        integral = 0.0
-        for j in range(nseg):
-            w = widths[j]
-            integral += (vv0[j] * w + 0.5 * self._vp0[j] * w**2
-                         - f[j] * w**3 / 6.0)
-        self._v0 = vv0 - integral
-        self._sorted_pos = bpts
-        self._sorted_sgn = sgn[order]
+        self._pos, self._sgn = shape.interfaces()
 
-    def _segment(self, x):
-        x = np.asarray(x, dtype=float) % 1.0
-        x = np.where(x < self.breakpoints[0], x + 1.0, x)
-        j = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                    0, len(self._f) - 1)
-        return x, j
+    def _offsets(self, x):
+        return (np.asarray(x, dtype=float)[..., None] - self._pos) % 1.0
 
     def v(self, x):
-        x, j = self._segment(x)
-        dx = x - self.breakpoints[j]
-        return self._v0[j] + self._vp0[j] * dx - 0.5 * self._f[j] * dx**2
+        s = self._offsets(x)
+        return -2.0 * (s * (s - 0.5) * (s - 1.0) / 6.0) @ self._sgn
 
     def dv(self, x):
-        x, j = self._segment(x)
-        dx = x - self.breakpoints[j]
-        return self._vp0[j] - self._f[j] * dx
+        return -2.0 * green_kernel_screened(0, self._offsets(x)) @ self._sgn
 
     def normal_derivative(self) -> np.ndarray:
-        """Outward normal derivative of v at each interface (sorted order)."""
-        return self._sorted_sgn * self.dv(self._sorted_pos)
+        """Outward normal derivative of v at each interface (interface order)."""
+        return self._sgn * self.dv(self._pos)
 
     def dirichlet_energy(self) -> float:
-        """Exact int v'^2 over the circle (v' piecewise linear)."""
-        total = 0.0
-        widths = np.diff(self.breakpoints)
-        for j in range(len(self._f)):
-            a0 = self._vp0[j]
-            b = -self._f[j]
-            w = widths[j]
-            total += a0**2 * w + a0 * b * w**2 + b**2 * w**3 / 3.0
-        return total
+        """Exact int v'^2 over the circle."""
+        s = self._offsets(self._pos)
+        return float(-4.0 * self._sgn @ ((s * (1.0 - s)) ** 2 / 24.0) @ self._sgn)
 
 
 def lamella_source_field(shape: Lamella, n: int) -> ScalarField:

@@ -259,37 +259,28 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     A -= np.diag(W * mesh.curvature**2)
 
     if gamma > 0:
-        # nonlocal block
-        G = np.zeros((n, n))
+        # nonlocal block: the Green function at every pair of distinct nodes,
+        # a plain product quadrature; on each component's self panel it
+        # becomes the smooth remainder G + (1/2pi) log(2|sin pi dt|), and
+        # the log kernel is integrated by the trig-exact block
         pts = mesh.points
-        diff_mask = np.ones((n, n), dtype=bool)
-        for (i0, i1) in mesh.components:
-            diff_mask[i0:i1, i0:i1] = False
-        # off-component panels: kernel smooth, plain product quadrature
-        if diff_mask.any():
-            ii, jj = np.where(diff_mask)
-            G[ii, jj] = green_function_2d(pts[ii], pts[jj]) * W[ii] * W[jj]
+        off = ~np.eye(n, dtype=bool)
+        G = np.zeros((n, n))
+        G[off] = green_function_2d(np.broadcast_to(pts[:, None, :], (n, n, 2))[off],
+                                   np.broadcast_to(pts[None, :, :], (n, n, 2))[off])
         greg = green2d_self_regularized()
         for (i0, i1) in mesh.components:
             nc = i1 - i0
-            p = pts[i0:i1]
-            sp = mesh.speeds[i0:i1]
-            w = W[i0:i1]
             t = np.arange(nc) / nc
-            dt = t[:, None] - t[None, :]
-            sin_t = 2.0 * np.abs(np.sin(np.pi * dt))
-            off = ~np.eye(nc, dtype=bool)
-            # smooth remainder S = G + (1/2pi) log(2|sin pi dt|)
-            S = np.empty((nc, nc))
-            Gfull = np.zeros((nc, nc))
-            Gfull[off] = green_function_2d(
-                np.broadcast_to(p[:, None, :], (nc, nc, 2))[off],
-                np.broadcast_to(p[None, :, :], (nc, nc, 2))[off])
-            S[off] = Gfull[off] + np.log(sin_t[off]) / (2.0 * np.pi)
-            S[~off] = greg + np.log(2.0 * np.pi / sp) / (2.0 * np.pi)
-            Qlog = _log_quadrature_block(nc)
-            G[i0:i1, i0:i1] = (S * w[:, None] * w[None, :]
-                               + Qlog * sp[:, None] * sp[None, :])
+            sin_t = 2.0 * np.abs(np.sin(np.pi * (t[:, None] - t[None, :])))
+            diag = np.eye(nc, dtype=bool)
+            blk = G[i0:i1, i0:i1]
+            blk[~diag] += np.log(sin_t[~diag]) / (2.0 * np.pi)
+            blk[diag] = greg + np.log(2.0 * np.pi / mesh.speeds[i0:i1]) / (2.0 * np.pi)
+        G = G * W[:, None] * W[None, :]
+        for (i0, i1) in mesh.components:
+            sp = mesh.speeds[i0:i1]
+            G[i0:i1, i0:i1] += _log_quadrature_block(i1 - i0) * sp[:, None] * sp[None, :]
         A += 8.0 * gamma * G
 
         # potential block: normal derivative of v on the mesh.  Lamellae use
@@ -338,6 +329,8 @@ def constrained_min_eig(form: QuadraticFormMatrix,
     against the arc-length L^2 mass (norm="l2") or the full H^1 Gram
     (norm="h1"), whitened by its Cholesky factor for one symmetric eigh.
     """
+    if norm not in ("l2", "h1"):
+        raise ValidationError(f"norm must be 'l2' or 'h1', got {norm!r}")
     C = np.atleast_2d(form.constraints)
     rank = np.linalg.matrix_rank(C, tol=1e-12)
     if rank < C.shape[0]:

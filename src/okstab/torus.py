@@ -171,32 +171,30 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a field at arbitrary points.
 
     points: array (npts, dim) (or (npts,) in 1D).  Accounts for the
-    half-cell offset of cell-center sampling.
+    half-cell offset of cell-center sampling.  The -n/2 coefficient of an
+    even axis is split evenly between -n/2 and +n/2, so the Nyquist mode is
+    the cosine through the samples on every axis and at every corner.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if v.grid.dim == 1 and pts.shape[1] != 1:
         pts = pts.reshape(-1, 1)
     if pts.shape[1] != v.grid.dim:
         raise ValidationError("point dimension does not match grid")
-    ntot = v.grid.num_cells
-    coef = np.fft.fftn(v.values) / ntot
+    coef = np.fft.fftn(v.values) / v.grid.num_cells
     # shift coefficients so that modes are e^{2 pi i n x} in physical coordinates
-    ks = [np.fft.fftfreq(n, d=1.0 / n) for n in v.grid.sizes]
-    for axis, k in enumerate(ks):
+    operands = []
+    for axis, n in enumerate(v.grid.sizes):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        if n % 2 == 0:
+            coef = np.take(coef, np.append(np.arange(n), n // 2), axis=axis)
+            k = np.append(k, n // 2)
+        shift = np.exp(-2j * np.pi * k * (0.5 * v.grid.spacing[axis]))
         shape = [1] * v.grid.dim
         shape[axis] = len(k)
-        coef = coef * np.exp(-2j * np.pi * k * (0.5 * v.grid.spacing[axis])).reshape(shape)
-    if v.grid.dim == 1:
-        e = np.exp(2j * np.pi * np.outer(pts[:, 0], ks[0]))
-        return np.real(e @ coef)
-    if v.grid.dim == 2:
-        e0 = np.exp(2j * np.pi * np.outer(pts[:, 0], ks[0]))
-        e1 = np.exp(2j * np.pi * np.outer(pts[:, 1], ks[1]))
-        return np.real(np.einsum("pa,ab,pb->p", e0, coef, e1))
-    e0 = np.exp(2j * np.pi * np.outer(pts[:, 0], ks[0]))
-    e1 = np.exp(2j * np.pi * np.outer(pts[:, 1], ks[1]))
-    e2 = np.exp(2j * np.pi * np.outer(pts[:, 2], ks[2]))
-    return np.real(np.einsum("pa,abc,pb,pc->p", e0, coef, e1, e2))
+        coef = coef * (np.where(2 * np.abs(k) == n, 0.5, 1.0) * shift).reshape(shape)
+        operands += [np.exp(2j * np.pi * np.outer(pts[:, axis], k)), [v.grid.dim, axis]]
+    operands[2:2] = [coef, list(range(v.grid.dim))]   # e_0, coef, e_1, ...
+    return np.real(np.einsum(*operands, [v.grid.dim]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ def test_energy_row(tmp_path):
     rc, out = _run(tmp_path, ["energy", "--shape", "lamella", "--k", "1",
                               "--m", "0.0", "--gamma", "1.0"])
     assert rc == 0
-    lines = [l for l in open(out) if not l.startswith("#")]
+    lines = [l for l in Path(out).read_text().splitlines()
+             if not l.startswith("#")]
     header, row = lines[0].strip(), lines[1].strip().split(",")
     assert header == "m,gamma,k,perimeter,nonlocal,total"
     assert float(row[3]) == 2.0
@@ -44,7 +46,7 @@ def test_provenance_and_determinism(tmp_path):
     rc1, out1 = _run(tmp_path, argv, "a.csv")
     rc2, out2 = _run(tmp_path, argv, "b.csv")
     assert rc1 == rc2 == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2  # byte-identical reruns
     text = b1.decode()
     assert text.startswith("# okstab ")
@@ -61,7 +63,7 @@ def test_config_file_merge(tmp_path):
                               "--m", "0.0"])
     assert rc == 0
     # values from the file are type-coerced (k=1 as int)
-    assert "# k=1" in open(out).read()
+    assert "# k=1" in Path(out).read_text()
 
 
 def test_config_value_applies_unless_flag_given(tmp_path):
@@ -71,12 +73,12 @@ def test_config_value_applies_unless_flag_given(tmp_path):
     rc, out = _run(tmp_path, ["energy", "--shape", "lamella",
                               "--config", cfg])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# k=3\n" in text and "# gamma=2.5\n" in text
     rc, out = _run(tmp_path, ["energy", "--shape", "lamella",
                               "--config", cfg, "--k", "2"], "b.csv")
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# k=2\n" in text and "# gamma=2.5\n" in text
 
 
@@ -108,7 +110,7 @@ def test_config_supplies_required_options(tmp_path):
         fh.write("mode=gamma\nm=0.0\nk=1\n")
     rc, out = _run(tmp_path, ["threshold", "--config", cfg])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# mode=gamma\n" in text and "# m=0.0\n" in text
     assert abs(float(text.strip().splitlines()[-1].split(",")[-1])
                - 94.87206216585848) < 2e-6
@@ -207,7 +209,8 @@ def test_alpha_matches_library(tmp_path):
     save_shape(lamella(2, 0.2), pb)
     rc, out = _run(tmp_path, ["alpha", "--a", pa, "--b", pb, "--grid", "64"])
     assert rc == 0
-    row = [l for l in open(out) if not l.startswith(("#", "alpha"))][0]
+    row = [l for l in Path(out).read_text().splitlines()
+           if not l.startswith(("#", "alpha"))][0]
     got = float(row.split(",")[0])
     g = make_grid(2, (64, 64))
     want, _ = alpha_distance(rasterize(lamella(1, 0.0), g),
@@ -287,7 +290,7 @@ def test_library_runs_without_scipy():
 def test_iso_compare_flags_minimum(tmp_path):
     rc, out = _run(tmp_path, ["iso-compare", "--m", "-0.95", "--dim", "2"])
     assert rc == 0
-    rows = [l.strip().split(",") for l in open(out)
+    rows = [l.strip().split(",") for l in Path(out).read_text().splitlines()
             if not l.startswith(("#", "candidate"))]
     flagged = [r[0] for r in rows if r[-1] == "min"]
     assert flagged == ["disc"]
@@ -297,7 +300,7 @@ def test_flow_history(tmp_path):
     rc, out = _run(tmp_path, ["flow", "--epsilon", "0.0625", "--grid", "32",
                               "--dt", "1e-3", "--steps", "20"])
     assert rc == 0
-    rows = [l.strip().split(",") for l in open(out)
+    rows = [l.strip().split(",") for l in Path(out).read_text().splitlines()
             if not l.startswith(("#", "step"))]
     es = [float(r[2]) for r in rows]
     assert len(es) == 21
@@ -316,7 +319,7 @@ def test_stability_scan(tmp_path):
     rc, out = _run(tmp_path, ["stability-scan", "--m", "0.0", "--gamma",
                               "10.0", "--k-max", "3"])
     assert rc == 0
-    rows = [l.strip().split(",") for l in open(out)
+    rows = [l.strip().split(",") for l in Path(out).read_text().splitlines()
             if not l.startswith(("#", "k,"))]
     assert [int(r[0]) for r in rows] == [1, 2, 3]
     assert all(float(r[3]) > 0 for r in rows)  # gamma below threshold
@@ -325,6 +328,6 @@ def test_stability_scan(tmp_path):
 def test_fd_check_output(tmp_path):
     rc, out = _run(tmp_path, ["fd-check", "--gamma", "1.0", "--q", "1"])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     ratio = [l for l in text.splitlines() if l.startswith("ratio,")][0]
     assert abs(float(ratio.split(",")[1]) - 1.0) < 0.01

@@ -8,8 +8,10 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            LamellaPotential, alpha_distance, boundary_mesh,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, rasterize, recenter_translation,
-                           resample_periodic, save_shape, volume_fraction)
-from okstab.torus import ScalarField, ValidationError, make_grid
+                           lamella_source_field, resample_periodic, save_shape,
+                           volume_fraction)
+from okstab.torus import (ScalarField, ValidationError, circle_distance,
+                          make_grid, solve_poisson_periodic, trig_interpolate)
 
 
 def test_lamella_interfaces():
@@ -245,6 +247,17 @@ def test_lamella_potential_profile():
         # mean-zero normalization
         x = np.linspace(0, 1, 20001)[:-1]
         assert abs(np.mean(pot.v(x))) < 1e-8
+        # independent oracle: spectral solve of the band-limited source on
+        # 4096 points, evaluated by trigonometric interpolation
+        xs = np.random.default_rng(k).uniform(-1.0, 2.0, 500)
+        vf = solve_poisson_periodic(lamella_source_field(sh, 4096))
+        assert np.abs(pot.v(xs) - trig_interpolate(vf, xs)).max() < 1e-8
+        # v' against central differences of v, exact for the piecewise
+        # quadratic v away from the interfaces
+        h = 1e-4
+        far = circle_distance(xs[:, None] - sh.interfaces()[0]).min(axis=1) > 2 * h
+        fd = (pot.v(xs + h) - pot.v(xs - h)) / (2 * h)
+        assert np.abs(pot.dv(xs) - fd)[far].max() < 1e-10
 
 
 def test_shape_file_round_trip():

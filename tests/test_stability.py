@@ -274,6 +274,13 @@ def test_constrained_min_eig_matches_generalized_eigh(shape, gamma, norm):
     assert np.abs(form.constraints @ vec).max() < 1e-10 * np.abs(vec).max()
 
 
+@pytest.mark.parametrize("norm", ["L2", "H1", "bogus", ""])
+def test_constrained_min_eig_rejects_unknown_norm(norm):
+    form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 1.0)
+    with pytest.raises(ValidationError, match="norm"):
+        constrained_min_eig(form, norm=norm)
+
+
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
 def test_boundary_form_rejects_bad_gamma(gamma):
     mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)

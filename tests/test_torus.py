@@ -196,6 +196,31 @@ def test_trig_interpolation_reproduces_nodes():
     assert np.abs(out - vals).max() < 1e-10
 
 
+def _cardinal(n, t):
+    # periodic cardinal function of n equispaced nodes; for even n the
+    # Nyquist cosine carries half weight on +-n/2 (the cosine through the samples)
+    t = np.pi * t
+    return np.sin(n * t) / (n * (np.sin(t) if n % 2 else np.tan(t)))
+
+
+@pytest.mark.parametrize("sizes", [(9,), (12,), (12, 16), (16, 9), (15, 11),
+                                   (8, 10, 12), (9, 8, 10), (12, 12, 12)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_trig_interpolation_matches_cardinal_functions(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    g = make_grid(len(sizes), sizes)
+    vals = rng.standard_normal(sizes)
+    pts = rng.random((40, len(sizes)))
+    # sum of the samples times tensor products of cardinals about the cell centres
+    dim = len(sizes)
+    operands = [vals, list(range(dim))]
+    for axis, n in enumerate(sizes):
+        operands += [_cardinal(n, pts[:, [axis]] - g.axis_coords(axis)), [dim, axis]]
+    want = np.einsum(*operands, [dim])
+    got = trig_interpolate(ScalarField(g, vals), pts)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(vals).max()
+
+
 def test_snapshot_round_trip_bit_exact():
     rng = np.random.default_rng(9)
     g = make_grid(3, (8, 16, 8))
