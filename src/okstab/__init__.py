@@ -9,14 +9,13 @@ config.apply_thread_cap()   # before the first numpy import below
 
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     dirichlet_energy, green_function_2d, green_kernel_screened,
-                    load_field, make_grid, save_field, solve_poisson_neumann,
-                    solve_poisson_periodic)
+                    load_field, make_grid, save_field, solve_poisson_periodic)
 from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                      Lamella, alpha_distance, boundary_mesh, lamella,
                      perimeter_exact, perimeter_grid, rasterize,
                      recenter_translation, volume_fraction)
-from .energy import (EnergyBreakdown, energy, energy_neumann, el_residual,
-                     graph_energy, isoperimetric_compare, lamella_closed_form,
+from .energy import (EnergyBreakdown, el_residual, energy, graph_energy,
+                     isoperimetric_compare, lamella_closed_form,
                      nonlocal_lipschitz_check, optimal_strip_count,
                      strip_disc_crossing)
 from .stability import (LamellaModeMatrix, QuadraticFormMatrix,

@@ -2,8 +2,8 @@
 
 Evaluation for parametric shapes and raw indicator fields, closed-form
 lamella values, Euler-Lagrange residuals on boundary meshes, the Lipschitz
-ratio of the nonlocal term, a homogeneous-Neumann variant on the box, and
-the classical candidate comparison (strip / disc / cylinder / ball).
+ratio of the nonlocal term, and the classical candidate comparison
+(strip / disc / cylinder / ball).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
                      ShapeConfig, lamella_source_field, perimeter_exact,
                      perimeter_grid, rasterize)
 from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
-                    neumann_dirichlet_energy, solve_poisson_neumann,
                     solve_poisson_periodic, trig_interpolate)
 
 
@@ -91,13 +90,15 @@ def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
 def optimal_strip_count(m: float, gamma: float, k_max: int = 10_000) -> int:
     """argmin over k >= 1 of the closed-form lamella energy (ties -> smaller k)."""
     _check_gamma(gamma)
-    a = 0.5 * (m + 1.0)
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
+    a = Lamella(k=1, m=m, axis=0, dim=1).a  # validates m
     c = gamma * a * a * (1.0 - a) ** 2 / 3.0
 
     def total(k):
         return 2.0 * k + c / (k * k)
 
-    k_star = max(1, int(round((c) ** (1.0 / 3.0))) if c > 0 else 1)
+    k_star = min(k_max, max(1, int(round((c) ** (1.0 / 3.0))) if c > 0 else 1))
     lo = max(1, k_star - 3)
     hi = min(k_max, k_star + 3)
     best = min(range(lo, hi + 1), key=lambda k: (total(k), k))
@@ -168,27 +169,6 @@ def nonlocal_lipschitz_check(pairs) -> float:
     if used == 0:
         raise ValidationError("no distinct pairs supplied")
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Neumann box energy
-# ---------------------------------------------------------------------------
-
-def energy_neumann(u: ScalarField, gamma: float) -> EnergyBreakdown:
-    """Perimeter + gamma * Neumann Dirichlet energy on the unit box.
-
-    The indicator must be constant on the boundary layer of cells (the
-    configuration stays strictly inside the box).
-    """
-    if u.grid.dim != 2:
-        raise ValidationError("Neumann energy implemented on 2D boxes")
-    vals = u.values
-    edge = np.concatenate([vals[0], vals[-1], vals[:, 0], vals[:, -1]])
-    if edge.min() != edge.max():
-        raise ValidationError("interface touches the box boundary")
-    f = ScalarField(u.grid, vals - vals.mean())
-    v = solve_poisson_neumann(f)
-    return EnergyBreakdown(perimeter_grid(u), neumann_dirichlet_energy(v), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ class Lamella:
     def interface_gap(self) -> float:
         return min(self.a, 1.0 - self.a) / self.k
 
+    @property
+    def dnv(self) -> float:
+        """Outward normal derivative of the lamella potential, the same at
+        every interface."""
+        a = self.a
+        return -a * (1.0 - a) / self.k
+
 
 @dataclass(frozen=True)
 class Droplet:

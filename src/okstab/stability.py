@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_FIELD_GRID, TOLERANCES
-from .energy import graph_energy, volume_corrected_perturbation
+from .energy import _check_gamma, graph_energy, volume_corrected_perturbation
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella,
                      periodic_derivative, rasterize)
 from .torus import (NumericalError, ScalarField, ValidationError,
@@ -57,13 +57,13 @@ def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMa
     mode scan works on the Bloch blocks of A(q) and is checked against it."""
     if q < 0:
         raise ValidationError("q must be nonnegative")
+    _check_gamma(gamma)
     shape = Lamella(k=k, m=m, axis=0, dim=1)
     pos, _ = shape.interfaces()
     K = green_kernel_screened(q, pos[:, None] - pos[None, :])
-    dnv = -shape.a * (1.0 - shape.a) / k
-    A = 8.0 * K + 4.0 * dnv * np.eye(2 * k)
+    A = 8.0 * K + 4.0 * shape.dnv * np.eye(2 * k)
     M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * (0.5 * (A + A.T))
-    return LamellaModeMatrix(q, M, K, dnv)
+    return LamellaModeMatrix(q, M, K, shape.dnv)
 
 
 @dataclass
@@ -103,8 +103,8 @@ def _mode_scan(k: int, m: float, value):
     exceeds the best so far.  Returns (best value, q, mu, Bloch index p,
     eigenvector, last q scanned).
     """
-    a = Lamella(k=k, m=m, axis=0, dim=1).a
-    dnv = -a * (1.0 - a) / k
+    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    a, dnv = shape.a, shape.dnv
     best = (np.inf, None, None, None, None)
     q = 1
     while True:
@@ -129,8 +129,7 @@ def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
     admissible class, so it does not enter the minimum.  M(q) and A(q)
     share eigenvectors, so the minimum is that of 4 pi^2 q^2 + gamma mu(q).
     """
-    if not 0.0 <= gamma < np.inf:
-        raise ValidationError("gamma must be finite and nonnegative")
+    _check_gamma(gamma)
     best, q, _, p, vec, q_scanned = _mode_scan(
         k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 + gamma * mu)
     return StabilityReport(best, q, vec,
@@ -145,6 +144,8 @@ def stability_threshold_gamma(m: float, k: int,
     M(q) is linear in gamma, so mode q turns unstable exactly there.
     Returns gamma_c = None when the lamella stays stable up to gamma_max.
     """
+    if not gamma_max >= 0.0:
+        raise ValidationError(f"gamma_max must be nonnegative, got {gamma_max!r}")
     gc, q, mu, p, vec, q_scanned = _mode_scan(
         k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 / -mu if mu < 0 else np.inf)
     if gc > gamma_max:
@@ -160,6 +161,8 @@ def stability_threshold_gamma(m: float, k: int,
 def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:
     """Smallest k0 <= k_max with positive minimal eigenvalue for every
     k in [k0, k_max]."""
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
     eigs = [lamella_min_eigenvalue(k, m, gamma).min_eigenvalue
             for k in range(1, k_max + 1)]
     k0 = None
@@ -234,8 +237,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     quadrature on the self panels, and the 4 gamma (normal derivative of v)
     mass term.
     """
-    if not 0.0 <= gamma < np.inf:
-        raise ValidationError("gamma must be finite and nonnegative")
+    _check_gamma(gamma)
     n = len(mesh.points)
     W = mesh.weights
     A = np.zeros((n, n))
@@ -287,8 +289,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
         # the exact piecewise profile; spectral differentiation of the
         # rasterized field loses accuracy at the interface kink.
         if isinstance(mesh.shape, Lamella):
-            dnv = np.full(len(W), -mesh.shape.a * (1.0 - mesh.shape.a)
-                          / mesh.shape.k)
+            dnv = mesh.shape.dnv
         else:
             g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
             u = rasterize(mesh.shape, g)

@@ -1,9 +1,8 @@
 """Periodic spectral infrastructure on the unit flat torus.
 
 Grids, scalar fields, the mean-zero Poisson solver for -Lap v = f, Dirichlet
-energies via Parseval, closed-form screened Green kernels on the circle, the
-two-dimensional torus Green function, and a homogeneous-Neumann box solver
-(the periodic solver applied to the even reflection of the box).
+energies via Parseval, closed-form screened Green kernels on the circle, and
+the two-dimensional torus Green function.
 
 Conventions: the torus is [0,1)^d with unit volume; samples live at cell
 centers x_j = (j + 1/2) h.  Fields are transformed to the rfftn half
@@ -260,14 +259,9 @@ def green_function_2d(x, y, tol: float = TOLERANCES.kernel_tail):
     if np.any(arg <= 0):
         raise ValidationError("Green function evaluated at coincident points")
     val = green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
-    qmax = _green2d_qmax(tol)
-    q = np.arange(1, qmax + 1)
-    rq = _screened_remainder(q, s[..., None] if np.ndim(s) else s)
-    if np.ndim(s):
-        val = val + np.sum(2.0 * np.cos(2.0 * np.pi * q * d1[..., None]) * rq, axis=-1)
-    else:
-        val = val + np.sum(2.0 * np.cos(2.0 * np.pi * q * d1) * rq)
-    return val
+    q = np.arange(1, _green2d_qmax(tol) + 1)
+    rq = _screened_remainder(q, s[..., None])
+    return val + np.sum(2.0 * np.cos(2.0 * np.pi * q * d1[..., None]) * rq, axis=-1)
 
 
 def green2d_self_regularized(tol: float = TOLERANCES.kernel_tail) -> float:
@@ -276,41 +270,6 @@ def green2d_self_regularized(tol: float = TOLERANCES.kernel_tail) -> float:
     q = np.arange(1, qmax + 1)
     return float(1.0 / 12.0 - np.log(2.0 * np.pi) / (2.0 * np.pi)
                  + np.sum(2.0 * _screened_remainder(q, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# homogeneous Neumann box solver (unit box, even reflection)
-# ---------------------------------------------------------------------------
-
-def _reflect(v: ScalarField) -> ScalarField:
-    """Even reflection of a box field onto [0, 2]^dim, sampled on the unit
-    torus with twice the points per axis, where its Laplacian is 1/4 of the
-    box's.  Cell centers map to cell centers, so the reflection is periodic."""
-    vals = v.values
-    for axis in range(v.grid.dim):
-        vals = np.concatenate([vals, np.flip(vals, axis)], axis=axis)
-    return ScalarField(make_grid(v.grid.dim, vals.shape), vals)
-
-
-def _crop(w: ScalarField, grid: TorusGrid, scale: float) -> ScalarField:
-    return ScalarField(grid, scale * w.values[tuple(slice(n) for n in grid.sizes)])
-
-
-def solve_poisson_neumann(f: ScalarField) -> ScalarField:
-    """Solve -Lap v = f on the unit box with dv/dn = 0, mean(v) = 0.
-
-    The periodic solve of the even reflection, times 4, cropped to the box.
-    """
-    return _crop(solve_poisson_periodic(_reflect(f)), f.grid, 4.0)
-
-
-def neumann_laplacian(v: ScalarField) -> ScalarField:
-    return _crop(laplacian(_reflect(v)), v.grid, 0.25)
-
-
-def neumann_dirichlet_energy(v: ScalarField) -> float:
-    """int |grad v|^2 over the unit box: a quarter of the reflection's."""
-    return 0.25 * dirichlet_energy(_reflect(v))
 
 
 # ---------------------------------------------------------------------------

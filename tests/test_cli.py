@@ -259,8 +259,10 @@ def test_thread_cap_applies_at_import():
 
 
 def test_library_runs_without_scipy():
-    # the Neumann box solver, the constrained eigensolve in both norms and
-    # the strip/disc crossing are numpy alone; scipy is a test oracle only
+    # the indicator-field energy (marching squares and the spectral solve),
+    # the droplet Euler-Lagrange residual (trigonometric interpolation), the
+    # constrained eigensolve in both norms and the strip/disc crossing are
+    # numpy alone; scipy is a test oracle only
     import okstab
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
@@ -268,15 +270,13 @@ def test_library_runs_without_scipy():
         import sys
         import numpy as np
         from okstab import (Droplet, assemble_boundary_form, boundary_mesh,
-                            constrained_min_eig, energy_neumann, make_grid,
-                            rasterize, solve_poisson_neumann, strip_disc_crossing)
-        from okstab.torus import ScalarField, neumann_laplacian
+                            constrained_min_eig, el_residual, energy, make_grid,
+                            rasterize, strip_disc_crossing)
         g = make_grid(2, (32, 32))
-        u = rasterize(Droplet((0.5, 0.5), 0.2), g)
-        v = solve_poisson_neumann(ScalarField(g, u.values - u.mean()))
-        neumann_laplacian(v)
-        energy_neumann(u, 1.0)
-        form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 1.0)
+        energy(rasterize(Droplet((0.5, 0.5), 0.2), g), 1.0)
+        mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)
+        el_residual(mesh, 1.0, g)
+        form = assemble_boundary_form(mesh, 1.0)
         constrained_min_eig(form, norm="l2")
         constrained_min_eig(form, norm="h1")
         strip_disc_crossing()

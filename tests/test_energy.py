@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from okstab.energy import (EnergyBreakdown, _mode_weights, el_residual, energy,
-                           energy_neumann, graph_energy,
-                           graph_nonlocal_energy, isoperimetric_compare,
-                           lamella_closed_form, nonlocal_energy_field,
-                           nonlocal_lipschitz_check, optimal_strip_count,
-                           strip_disc_crossing, volume_corrected_perturbation)
+                           graph_energy, graph_nonlocal_energy,
+                           isoperimetric_compare, lamella_closed_form,
+                           nonlocal_energy_field, nonlocal_lipschitz_check,
+                           optimal_strip_count, strip_disc_crossing,
+                           volume_corrected_perturbation)
 from okstab.shapes import (Droplet, GraphPerturbation, Lamella, boundary_mesh,
                            lamella, rasterize)
+from okstab.stability import lamella_mode_matrix
 from okstab.torus import ScalarField, ValidationError, make_grid
 
 
@@ -58,8 +59,18 @@ def test_optimal_strip_count():
     assert optimal_strip_count(0.0, 0.0) == 1
     big = 48.0 * 1000.0**3
     assert optimal_strip_count(0.0, big) == pytest.approx(1000, abs=1)
+    # the energy decreases up to k ~ c^(1/3), so a lower cap is the argmin
+    assert optimal_strip_count(0.0, big, k_max=2) == 2
     ks = [optimal_strip_count(0.0, g) for g in np.linspace(0, 5e4, 40)]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
+
+
+@pytest.mark.parametrize("m, k_max, name",
+                         [(1.5, 10_000, "m"), (0.0, 0, "k_max"), (0.0, 2.5, "k_max")],
+                         ids=["m=1.5", "k_max=0", "k_max=2.5"])
+def test_optimal_strip_count_rejects_bad_input(m, k_max, name):
+    with pytest.raises(ValidationError, match=name):
+        optimal_strip_count(m, 10.0, k_max=k_max)
 
 
 BAD_GAMMAS = [float("nan"), float("inf"), -1.0]
@@ -75,6 +86,8 @@ def test_breakdown_rejects_bad_gamma(gamma):
 def test_energy_rejects_bad_gamma(gamma):
     with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
         energy(lamella(1, 0.0), gamma)
+    with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
+        lamella_mode_matrix(1, 0.0, gamma, 1)
 
 
 @pytest.mark.parametrize("gamma", BAD_GAMMAS)
@@ -148,26 +161,13 @@ def test_lipschitz_identical_pair_rejected():
         nonlocal_lipschitz_check([(u, u)])
 
 
-def test_energy_neumann():
-    g = make_grid(2, (128, 128))
+def test_energy_of_indicator_field():
+    g = make_grid(2, (256, 256))
     u = rasterize(Droplet((0.5, 0.5), 0.2), g)
-    br = energy_neumann(u, 0.0)
+    br = energy(u, 2.5)
     assert abs(br.perimeter - 2 * np.pi * 0.2) < 0.01 * 2 * np.pi * 0.2
-    br2 = energy_neumann(u, 2.5)
-    assert br2.total == br2.perimeter + 2.5 * br2.nonlocal_term
-    # symmetric configuration -> reflection-symmetric potential
-    from okstab.torus import solve_poisson_neumann
-    v = solve_poisson_neumann(ScalarField(g, u.values - u.values.mean()))
-    assert np.abs(v.values - v.values[::-1, :]).max() < 1e-10
-    assert np.abs(v.values - v.values[:, ::-1]).max() < 1e-10
-
-
-def test_energy_neumann_interface_at_wall_rejected():
-    g = make_grid(2, (64, 64))
-    vals = np.ones(g.sizes)
-    vals[:32] = -1.0
-    with pytest.raises(ValidationError):
-        energy_neumann(ScalarField(g, vals), 1.0)
+    assert br.nonlocal_term == nonlocal_energy_field(u)
+    assert br.total == br.perimeter + 2.5 * br.nonlocal_term
 
 
 def test_isoperimetric_2d():

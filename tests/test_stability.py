@@ -281,6 +281,17 @@ def test_constrained_min_eig_rejects_unknown_norm(norm):
         constrained_min_eig(form, norm=norm)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: stability_threshold_k(0.0, 300.0, k_max=0), "k_max"),
+    (lambda: stability_threshold_k(0.0, 300.0, k_max=2.5), "k_max"),
+    (lambda: stability_threshold_gamma(0.0, 1, gamma_max=float("nan")), "gamma_max"),
+    (lambda: stability_threshold_gamma(0.0, 1, gamma_max=-5.0), "gamma_max"),
+], ids=["k_max=0", "k_max=2.5", "gamma_max=nan", "gamma_max=-5"])
+def test_threshold_rejects_bad_cap(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()
+
+
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
 def test_boundary_form_rejects_bad_gamma(gamma):
     mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)

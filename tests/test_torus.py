@@ -7,10 +7,8 @@ import pytest
 from okstab.torus import (ScalarField, ValidationError, dirichlet_energy,
                           green2d_self_regularized, green_function_2d,
                           green_kernel_screened, laplacian, load_field,
-                          make_grid, neumann_dirichlet_energy,
-                          neumann_laplacian, save_field, solve_poisson_neumann,
-                          solve_poisson_periodic, spectral_gradient,
-                          trig_interpolate)
+                          make_grid, save_field, solve_poisson_periodic,
+                          spectral_gradient, trig_interpolate)
 
 
 def test_grid_basics():
@@ -151,38 +149,6 @@ def test_green2d_regularized_diagonal():
         y = x + np.array([r, 0.0])
         val = green_function_2d(x, y) + np.log(r) / (2 * np.pi)
         assert abs(val - c) < 10 * r
-
-
-def test_neumann_cosine_mode():
-    g = make_grid(2, (128, 128))
-    X, _ = g.coords()
-    f = ScalarField(g, np.cos(np.pi * X))
-    v = solve_poisson_neumann(f)
-    assert np.abs(v.values - np.cos(np.pi * X) / np.pi**2).max() < 1e-12
-
-
-def test_neumann_flux_and_residual():
-    g = make_grid(2, (128, 128))
-    X, Y = g.coords()
-    # off-centre disc: its periodic extension is not even across the walls
-    u = np.where((X - 0.3) ** 2 + (Y - 0.55) ** 2 <= 0.04, 1.0, -1.0)
-    f = ScalarField(g, u - u.mean())
-    v = solve_poisson_neumann(f)
-    # independent oracle: the cosine (DCT-II) expansion on cell centers,
-    # whose modes cos(pi k x) have eigenvalues pi^2 |k|^2
-    from scipy.fft import dctn, idctn
-    k = np.arange(128)
-    lam = np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
-    fh = dctn(f.values, type=2, norm="ortho")
-    want = idctn(np.divide(fh, lam, out=np.zeros_like(fh), where=lam > 0),
-                 type=2, norm="ortho")
-    assert np.abs(v.values - want).max() < 1e-12 * np.abs(want).max()
-    # int |grad v|^2 = int v f, since -Lap v = f and the flux vanishes
-    want_energy = float(np.mean(want * f.values))
-    assert abs(neumann_dirichlet_energy(v) - want_energy) < 1e-12 * want_energy
-    assert np.abs(neumann_laplacian(v).values + f.values).max() < 1e-10
-    z = solve_poisson_neumann(ScalarField(g, np.zeros(g.sizes)))
-    assert np.abs(z.values).max() == 0.0
 
 
 def test_trig_interpolation_reproduces_nodes():
