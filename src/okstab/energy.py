@@ -54,7 +54,7 @@ def _default_grid(dim: int) -> TorusGrid:
 def nonlocal_energy_field(u: ScalarField) -> float:
     """int |grad v|^2 with -Lap v = u - mean(u), as sum |uhat|^2 / (4 pi^2 |xi|^2)."""
     g = u.grid
-    return g.parseval(g.inverse_laplacian() * np.abs(g.rfft(u.values)) ** 2)
+    return g.parseval(g.inverse_laplacian() * np.abs(u.spectrum) ** 2)
 
 
 def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:

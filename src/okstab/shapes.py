@@ -33,8 +33,8 @@ class Lamella:
     dim: int = 2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("strip count k must be >= 1")
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise ValidationError(f"strip count k must be an integer >= 1, got {self.k!r}")
         if not -1.0 < self.m < 1.0:
             raise ValidationError("m must lie in (-1, 1)")
         a = self.a

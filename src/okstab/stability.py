@@ -55,8 +55,8 @@ class LamellaModeMatrix:
 def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
     """Dense M(q) = 4 pi^2 q^2 I + gamma A(q), A(q) = 8 K(q) + 4 dnv I; the
     mode scan works on the Bloch blocks of A(q) and is checked against it."""
-    if q < 0:
-        raise ValidationError("q must be nonnegative")
+    if not (isinstance(q, (int, np.integer)) and q >= 0):
+        raise ValidationError(f"q must be an integer >= 0, got {q!r}")
     _check_gamma(gamma)
     shape = Lamella(k=k, m=m, axis=0, dim=1)
     pos, _ = shape.interfaces()

@@ -98,7 +98,7 @@ class TorusGrid:
         return float(density.sum() + twice.sum()) / self.num_cells**2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
     """Real scalar field sampled at the cell centers of a TorusGrid."""
 
@@ -106,12 +106,20 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != self.grid.sizes:
             raise ValidationError(
                 f"value shape {self.values.shape} does not match grid {self.grid.sizes}")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("field contains non-finite values")
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfftn half spectrum, computed once; values and spectrum are then read-only."""
+        self.values.flags.writeable = False
+        out = self.grid.rfft(self.values)
+        out.flags.writeable = False
+        return out
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -256,7 +264,9 @@ def green_function_2d(x, y, tol: float = TOLERANCES.kernel_tail):
     s = circle_distance(d2)
     th = 2.0 * np.pi * d1
     arg = 1.0 - 2.0 * np.exp(-2.0 * np.pi * s) * np.cos(th) + np.exp(-4.0 * np.pi * s)
-    if np.any(arg <= 0):
+    if not np.all(arg > 0):   # also catches NaN
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValidationError("x and y must be finite coordinates")
         raise ValidationError("Green function evaluated at coincident points")
     val = green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
     q = np.arange(1, _green2d_qmax(tol) + 1)

@@ -84,6 +84,83 @@ def test_step_matches_complex_reference(sizes):
     assert np.abs(st.u.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class _FourFFTOracle:
+    """Today's step written out with every transform and symbol rebuilt:
+    4 real FFTs per accepted candidate, 3 per rejected one."""
+
+    def __init__(self, shape, eps, gamma0):
+        ks = [np.fft.fftfreq(n, 1.0 / n) for n in shape[:-1]]
+        ks.append(np.fft.rfftfreq(shape[-1], 1.0 / shape[-1]))
+        self.ksq = sum(k * k for k in np.meshgrid(*ks, indexing="ij", sparse=True))
+        self.inv = np.divide(1.0, 4.0 * np.pi**2 * self.ksq,
+                             out=np.zeros_like(self.ksq), where=self.ksq > 0)
+        self.shape, self.eps, self.gamma0 = shape, eps, gamma0
+
+    def irfft(self, a):
+        return np.fft.irfftn(a, s=self.shape, axes=tuple(range(len(self.shape))))
+
+    def quad(self):
+        return self.eps * 4.0 * np.pi**2 * self.ksq + self.gamma0 * self.inv
+
+    def energy(self, u):
+        d = self.quad() * np.abs(np.fft.rfftn(u)) ** 2
+        parseval = float(d.sum() + d[..., 1:(self.shape[-1] + 1) // 2].sum()) / u.size**2
+        return parseval + float(((u**2 - 1.0) ** 2).mean()) / self.eps
+
+    def residual(self, u):
+        d = (self.irfft(2.0 * self.quad() * np.fft.rfftn(u))
+             + (4.0 / self.eps) * u * (u**2 - 1.0))
+        return float(np.abs(d - d.mean()).max())
+
+    def step(self, u, S, dt, e0):
+        """(u, energy, rejections) after one accepted step."""
+        lam = 2.0 * self.eps * 4.0 * np.pi**2 * self.ksq
+        uh = np.fft.rfftn(u)
+        nh = (np.fft.rfftn((4.0 / self.eps) * u * (u**2 - 1.0))
+              + 2.0 * self.gamma0 * self.inv * uh)
+        nh[(0,) * u.ndim] = 0.0
+        for rejections in range(40):
+            unew = self.irfft((uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S)))
+            e1 = self.energy(unew)
+            if e1 <= e0 * (1.0 + 1e-12) + 1e-12:
+                return unew, e1, rejections
+            dt *= 0.5
+        raise AssertionError("oracle step rejected 40 times")
+
+
+@pytest.mark.parametrize("sizes, forced", [
+    ((64,), False), ((24, 30), False), ((9, 10, 8), False),
+    ((256,), True), ((24, 30), True), ((9, 10, 8), True)])
+def test_step_is_bit_identical_to_four_fft_oracle(sizes, forced, monkeypatch):
+    rng = np.random.default_rng(4)
+    g = make_grid(len(sizes), sizes)
+    u = 0.9 * np.tanh(2 * rng.standard_normal(sizes)) + 0.1
+    st = FlowState(ScalarField(g, u.copy()), epsilon=0.1, gamma0=30.0, dt=1e-4)
+    oracle = _FourFFTOracle(sizes, 0.1, 30.0)
+    energies, rejections = [oracle.energy(u)], 0
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    for i in range(6):
+        dt = 10.0 if forced and i == 3 else st.dt
+        if forced and i == 3:
+            st.stabilization = 1e-12   # undersized shift: explicit blow-up
+        before = st.rejections
+        del calls[:]
+        flow_step(st, dt=dt)
+        assert len(calls) == 3 + 2 * (st.rejections - before)
+        u, e1, r = oracle.step(u, st.stabilization, dt, energies[-1])
+        energies.append(e1)
+        rejections += r
+        assert np.array_equal(st.u.values, u)
+    assert forced == (rejections > 0)
+    assert st.rejections == rejections
+    assert np.array_equal([e for (_, _, e) in st.energy_history], energies)
+    assert flow_residual(st) == oracle.residual(u)
+
+
 def test_energy_monotone_decrease():
     rng = np.random.default_rng(1)
     g = make_grid(2, (64, 64))

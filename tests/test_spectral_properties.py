@@ -71,6 +71,22 @@ def test_energy_translation_invariant(sizes, seed):
 @prop
 @given(sizes=sizes_st, seed=seed_st)
 @_with_examples
+def test_cached_spectrum_is_the_transform_of_frozen_values(sizes, seed):
+    u = _field(sizes, seed)
+    state = FlowState(u, epsilon=0.1, gamma0=30.0, dt=1e-3)
+    flow_step(state)
+    for f in (u, state.u):
+        assert not f.values.flags.writeable and not f.spectrum.flags.writeable
+        assert np.array_equal(f.spectrum, np.fft.rfftn(f.values))
+    w = state.u.copy()
+    assert w.values.flags.writeable and w.spectrum is not state.u.spectrum
+    assert np.array_equal(w.spectrum, state.u.spectrum)
+    assert diffuse_energy(w, 0.1, 30.0) == state.energy
+
+
+@prop
+@given(sizes=sizes_st, seed=seed_st)
+@_with_examples
 def test_flow_step_conserves_mean(sizes, seed):
     u = _field(sizes, seed)
     state = FlowState(u.copy(), epsilon=0.1, gamma0=30.0, dt=1e-3)

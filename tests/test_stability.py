@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okstab.energy import lamella_closed_form
 from okstab.shapes import (Droplet, GraphPerturbation, Lamella, LamellaPotential,
                            boundary_mesh, lamella)
 from okstab.stability import (_bloch_blocks, _bloch_vector,
@@ -290,6 +291,28 @@ def test_constrained_min_eig_rejects_unknown_norm(norm):
 def test_threshold_rejects_bad_cap(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: stability_threshold_gamma(0.0, 2.5), "k"),
+    (lambda: stability_threshold_gamma(0.0, 0.0), "k"),
+    (lambda: lamella_closed_form(2.5, 0.0, 1.0), "k"),
+    (lambda: lamella_mode_matrix(1.5, 0.0, 1.0, 1), "k"),
+    (lambda: lamella_mode_matrix(1, 0.0, 1.0, 1.5), "q"),
+    (lambda: lamella_mode_matrix(1, 0.0, 1.0, -1), "q"),
+], ids=["gamma_c k=2.5", "gamma_c k=0.0", "closed form k=2.5",
+        "mode matrix k=1.5", "mode matrix q=1.5", "mode matrix q=-1"])
+def test_non_integer_strip_count_or_mode_is_named(call, name):
+    with pytest.raises(ValidationError, match=f"^(strip count )?{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_strip_count_and_mode_pass():
+    k, q = np.arange(1, 3)
+    want = lamella_mode_matrix(1, 0.0, 5.0, 2).matrix
+    assert np.array_equal(lamella_mode_matrix(k, 0.0, 5.0, q).matrix, want)
+    assert stability_threshold_gamma(0.0, np.int64(1)).gamma_c == pytest.approx(
+        GAMMA_C_SINGLE_STRIP, rel=1e-6)
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])

@@ -136,9 +136,48 @@ def test_green2d_vs_mollified_solve():
     assert abs(got - want) <= 1e-4 * abs(want)
 
 
+def test_cached_spectrum_cannot_go_stale():
+    from okstab.energy import nonlocal_energy_field
+    from okstab.flow import diffuse_energy
+    g = make_grid(2, (16, 12))
+    rng = np.random.default_rng(9)
+    u = ScalarField(g, rng.standard_normal(g.sizes))
+    assert u.values.flags.writeable
+    e = diffuse_energy(u, 0.1, 3.0)
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        u.values += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        u.spectrum[0, 0] = 0.0
+    assert np.array_equal(u.spectrum, np.fft.rfftn(u.values))
+    assert u.spectrum is u.spectrum
+    assert diffuse_energy(u, 0.1, 3.0) == e
+    with pytest.raises(AttributeError):
+        u.values = np.zeros(g.sizes)
+    w = u.copy()
+    assert w.values.flags.writeable and "spectrum" not in vars(w)
+    w.values[0, 0] += 1.0
+    assert not np.array_equal(w.spectrum, u.spectrum)
+    assert np.array_equal(w.spectrum, np.fft.rfftn(w.values))
+    assert diffuse_energy(w, 0.1, 3.0) != e
+    v = ScalarField(g, rng.standard_normal(g.sizes))
+    nonlocal_energy_field(v)
+    assert not v.values.flags.writeable
+
+
 def test_green2d_coincident_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="coincident points"):
         green_function_2d(np.array([0.2, 0.2]), np.array([0.2, 0.2]))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([np.nan, 0.2], [0.1, 0.2]), ([0.1, np.nan], [0.1, 0.2]),
+    ([0.1, 0.2], [np.inf, 0.3]), ([0.1, -np.inf], [0.1, 0.2]),
+    ([[0.3, 0.4], [np.nan, 0.2]], [0.1, 0.2])])
+def test_green2d_rejects_non_finite_coordinates(x, y):
+    with pytest.raises(ValidationError, match="^x and y must be finite"):
+        green_function_2d(x, y)
 
 
 def test_green2d_regularized_diagonal():
