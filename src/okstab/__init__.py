@@ -5,7 +5,12 @@ __version__ = "0.1.0"
 
 from . import config
 
-config.apply_thread_cap()   # before the first numpy import below
+try:
+    config.apply_thread_cap()   # before the first numpy import below
+except config.ValidationError as exc:
+    if config.starting_cli():
+        raise SystemExit(f"error: {exc}") from None    # one line, exit 1
+    raise
 
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     dirichlet_energy, green_function_2d, green_kernel_screened,

@@ -169,7 +169,7 @@ def cmd_flow(args):
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
         noisy = u0.values + args.noise * rng.standard_normal(grid.sizes)
-        u0 = ScalarField(grid, noisy - noisy.mean() + u0.mean())
+        u0 = ScalarField._adopt(grid, noisy - noisy.mean() + u0.mean())
     st = run_flow(u0, args.epsilon, args.gamma0, args.dt, args.steps,
                   stop_tol=args.stop_tol)
     rows = st.energy_history[::args.stride]

@@ -72,6 +72,13 @@ def read_key_values(path: str) -> dict:
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def starting_cli() -> bool:
+    """True while the `okstab` script or `python -m okstab.cli` imports the
+    package; runpy keeps argv[0] at "-m" until it has found the module."""
+    return (os.path.basename(sys.argv[0]) == "okstab"
+            or (sys.argv[0] == "-m" and "okstab.cli" in sys.orig_argv))
+
+
 def apply_thread_cap():
     """Cap BLAS/OpenMP threads at $OKSTAB_THREADS, if set.
 

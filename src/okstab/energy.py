@@ -137,7 +137,7 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
             vmesh = LamellaPotential(mesh.shape).v(mesh.points[:, mesh.shape.axis])
         else:
             u = rasterize(mesh.shape, g)
-            v = solve_poisson_periodic(ScalarField(g, u.values - u.mean()))
+            v = solve_poisson_periodic(ScalarField._adopt(g, u.values - u.mean()))
             vmesh = trig_interpolate(v, mesh.points)
         vals = vals + 4.0 * gamma * vmesh
     w = mesh.weights / mesh.weights.sum()

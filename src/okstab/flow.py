@@ -112,7 +112,7 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
     for _ in range(40):
         unew = grid.irfft((uh * (1.0 + dt * S) - dt * nh)
                           / (1.0 + dt * (lam + S)))
-        cand = ScalarField(grid, unew)
+        cand = ScalarField._adopt(grid, unew)
         e1 = diffuse_energy(cand, state.epsilon, state.gamma0)
         if e1 <= e0 * (1.0 + TOLERANCES.energy_increase_rel) \
                 + TOLERANCES.energy_increase_rel:
@@ -172,7 +172,7 @@ def tanh_profile(shape: Lamella, grid: TorusGrid, epsilon: float) -> ScalarField
     shp = [1] * grid.dim
     shp[shape.axis] = grid.sizes[shape.axis]
     dist = np.broadcast_to(d.reshape(shp), grid.sizes)
-    return ScalarField(grid, np.sign(ind.values) * np.tanh(dist / epsilon))
+    return ScalarField._adopt(grid, np.sign(ind.values) * np.tanh(dist / epsilon))
 
 
 def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048,

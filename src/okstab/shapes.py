@@ -202,16 +202,15 @@ def rasterize(shape: ShapeConfig, grid: TorusGrid) -> ScalarField:
         inside = _graph_mask(shape, grid)
     else:
         raise ValidationError(f"unknown shape {type(shape)}")
-    return ScalarField(grid, np.where(inside, 1.0, -1.0))
+    return ScalarField._adopt(grid, np.where(inside, 1.0, -1.0))
 
 
 def _droplet_mask(d: Droplet, grid: TorusGrid):
-    coords = grid.coords()
-    dist2 = np.zeros(grid.sizes)
-    for c, x0 in zip(coords, d.center):
-        dd = np.abs(c - x0) % 1.0
+    dist2 = 0.0     # separable: a sum of per-axis squared distances
+    for axis, x0 in enumerate(d.center):
+        dd = np.abs(grid.axis_coords(axis) - x0) % 1.0
         dd = np.minimum(dd, 1.0 - dd)
-        dist2 += dd * dd
+        dist2 = dist2 + np.expand_dims(dd * dd, [a for a in range(grid.dim) if a != axis])
     return dist2 <= d.radius**2
 
 
@@ -555,7 +554,7 @@ def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
                     (1.0 - np.exp(-2j * np.pi * nn * a / k)) / (2j * np.pi * nn), 0.0)
     c[nz] = 2.0 * k * cell
     phase = np.exp(2j * np.pi * nu * (0.5 / n))
-    return ScalarField(grid, grid.irfft(c * n * phase))
+    return ScalarField._adopt(grid, grid.irfft(c * n * phase))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .torus import (NumericalError, ScalarField, ValidationError,
                     green_kernel_screened, make_grid, solve_poisson_periodic,
                     spectral_gradient, trig_interpolate)
 
+_GREEN_CHUNK = 4096   # node pairs per green_function_2d call (~0.3 MB temporaries)
 
 # ---------------------------------------------------------------------------
 # exact lamella mode matrices
@@ -235,20 +236,30 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     component), -kappa^2 mass term, 8 gamma double-layer of the torus Green
     function with the log singularity handled by a trig-exact product
     quadrature on the self panels, and the 4 gamma (normal derivative of v)
-    mass term.
+    mass term.  Memory: at most four n x n arrays at once (35 MB for a k=2
+    lamella, 256 nodes per interface); the Green function takes _GREEN_CHUNK
+    node pairs at a time, other temporaries are per component or O(n).
     """
     _check_gamma(gamma)
     n = len(mesh.points)
     W = mesh.weights
+    # normal derivative of v, taken before the n x n blocks exist: exact on
+    # lamellae, where spectral differentiation would lose it at the kink
+    dnv = mesh.shape.dnv if isinstance(mesh.shape, Lamella) else None
+    if gamma > 0 and dnv is None:
+        g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
+        u = rasterize(mesh.shape, g).values
+        v = solve_poisson_periodic(ScalarField._adopt(g, u - u.mean()))
+        dnv = sum(trig_interpolate(c, mesh.points) * nu     # one component
+                  for c, nu in zip(spectral_gradient(v), mesh.normals.T))
     A = np.zeros((n, n))
 
     # Dirichlet + curvature blocks, per component
     H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
-        Dt = periodic_derivative(np.eye(nc))
-        Dtau = Dt / mesh.speeds[i0:i1][:, None]
-        block = Dtau.T @ np.diag(W[i0:i1]) @ Dtau
+        Dtau = periodic_derivative(np.eye(nc)) / mesh.speeds[i0:i1][:, None]
+        block = (Dtau.T * W[i0:i1]) @ Dtau
         if nc % 2 == 0:
             # the odd spectral derivative annihilates the Nyquist sawtooth;
             # restore its tangential energy modally so the form stays coercive
@@ -258,48 +269,40 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
             block += coeff * np.outer(e, e)
         A[i0:i1, i0:i1] += block
         H1[i0:i1, i0:i1] += block
-    A -= np.diag(W * mesh.curvature**2)
+    A.flat[::n + 1] -= W * mesh.curvature**2
 
     if gamma > 0:
-        # nonlocal block: the Green function at every pair of distinct nodes,
-        # a plain product quadrature; on each component's self panel it
-        # becomes the smooth remainder G + (1/2pi) log(2|sin pi dt|), and
-        # the log kernel is integrated by the trig-exact block
-        pts = mesh.points
-        off = ~np.eye(n, dtype=bool)
-        G = np.zeros((n, n))
-        G[off] = green_function_2d(np.broadcast_to(pts[:, None, :], (n, n, 2))[off],
-                                   np.broadcast_to(pts[None, :, :], (n, n, 2))[off])
-        greg = green2d_self_regularized()
-        for (i0, i1) in mesh.components:
-            nc = i1 - i0
-            t = np.arange(nc) / nc
-            sin_t = 2.0 * np.abs(np.sin(np.pi * (t[:, None] - t[None, :])))
-            diag = np.eye(nc, dtype=bool)
-            blk = G[i0:i1, i0:i1]
-            blk[~diag] += np.log(sin_t[~diag]) / (2.0 * np.pi)
-            blk[diag] = greg + np.log(2.0 * np.pi / mesh.speeds[i0:i1]) / (2.0 * np.pi)
-        G = G * W[:, None] * W[None, :]
+        # nonlocal block: the symmetric Green function on node pairs i < j, a
+        # product quadrature; on a component's self panel the smooth remainder
+        # G + (1/2pi) log(2|sin pi dt|), plus the log kernel's trig-exact block
+        # per node: its parameter on its component, and that component's end
+        t, end = np.hstack([(np.arange(i1 - i0) / (i1 - i0), np.full(i1 - i0, i1))
+                            for (i0, i1) in mesh.components])
+        ends = np.cumsum(np.arange(n - 1, 0, -1))    # pairs in rows 0..i
+        G = np.empty((n, n))
+        for p0 in range(0, ends[-1], _GREEN_CHUNK):
+            p = np.arange(p0, min(p0 + _GREEN_CHUNK, ends[-1]))
+            i = np.searchsorted(ends, p, side="right")
+            j = p - ends[i] + n
+            gij = green_function_2d(mesh.points[i], mesh.points[j])
+            same = j < end[i]
+            gij[same] += np.log(2.0 * np.abs(np.sin(np.pi * (t[i[same]] - t[j[same]])))
+                                ) / (2.0 * np.pi)
+            G[i, j] = G[j, i] = gij
+        G.flat[::n + 1] = (green2d_self_regularized()
+                           + np.log(2.0 * np.pi / mesh.speeds) / (2.0 * np.pi))
+        G *= W[:, None]
+        G *= W
         for (i0, i1) in mesh.components:
             sp = mesh.speeds[i0:i1]
             G[i0:i1, i0:i1] += _log_quadrature_block(i1 - i0) * sp[:, None] * sp[None, :]
-        A += 8.0 * gamma * G
+        G *= 8.0 * gamma
+        A = np.add(A, G, out=G)     # the form takes over G's memory
+        A.flat[::n + 1] += 4.0 * gamma * (W * dnv)
 
-        # potential block: normal derivative of v on the mesh.  Lamellae use
-        # the exact piecewise profile; spectral differentiation of the
-        # rasterized field loses accuracy at the interface kink.
-        if isinstance(mesh.shape, Lamella):
-            dnv = mesh.shape.dnv
-        else:
-            g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
-            u = rasterize(mesh.shape, g)
-            v = solve_poisson_periodic(ScalarField(g, u.values - u.mean()))
-            gx, gy = spectral_gradient(v)
-            dnv = (trig_interpolate(gx, mesh.points) * mesh.normals[:, 0]
-                   + trig_interpolate(gy, mesh.points) * mesh.normals[:, 1])
-        A += 4.0 * gamma * np.diag(W * dnv)
-
-    A = 0.5 * (A + A.T)
+    for M in (A, H1):    # symmetrize in place
+        M += M.T
+        M *= 0.5
 
     # constraint functionals: total mean + active translation directions
     a_ij = np.einsum("i,ip,iq->pq", W, mesh.normals, mesh.normals)
@@ -308,8 +311,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     for p in range(2):
         if evals[p] > 1e-10:
             rows.append(W * (mesh.normals @ frame[:, p]))
-    return QuadraticFormMatrix(A, W, 0.5 * (H1 + H1.T), np.array(rows),
-                               frame, mesh)
+    return QuadraticFormMatrix(A, W, H1, np.array(rows), frame, mesh)
 
 
 def translation_form_value(form: QuadraticFormMatrix, axis: int = 1) -> float:

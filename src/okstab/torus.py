@@ -100,13 +100,28 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar field sampled at the cell centers of a TorusGrid."""
+    """Real scalar field sampled at the cell centers of a TorusGrid.
+
+    The field owns its values: the constructor copies the caller's array, so
+    no view the caller kept can change them behind a cached spectrum.
+    """
 
     grid: TorusGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, grid: TorusGrid, values: np.ndarray) -> "ScalarField":
+        """Field over a float array okstab has just allocated, without a copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        f._own(values)
+        return f
+
+    def _own(self, values: np.ndarray):
+        object.__setattr__(self, "values", values)
         if self.values.shape != self.grid.sizes:
             raise ValidationError(
                 f"value shape {self.values.shape} does not match grid {self.grid.sizes}")
@@ -125,7 +140,7 @@ class ScalarField:
         return float(self.values.mean())
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+        return ScalarField(self.grid, self.values)
 
 
 def make_grid(dim: int, sizes) -> TorusGrid:
@@ -148,24 +163,23 @@ def solve_poisson_periodic(f: ScalarField) -> ScalarField:
     """
     _check_mean_zero(f)
     g = f.grid
-    return ScalarField(g, g.irfft(g.rfft(f.values) * g.inverse_laplacian()))
+    return ScalarField._adopt(g, g.irfft(g.rfft(f.values) * g.inverse_laplacian()))
 
 
 def laplacian(v: ScalarField) -> ScalarField:
     """Spectral Laplacian; used for residual checks."""
     g = v.grid
-    return ScalarField(g, g.irfft(-4.0 * np.pi**2 * g.ksq() * g.rfft(v.values)))
+    return ScalarField._adopt(g, g.irfft(-4.0 * np.pi**2 * g.ksq() * g.rfft(v.values)))
 
 
-def spectral_gradient(v: ScalarField) -> list[ScalarField]:
-    """Spectral gradient components; an even axis's Nyquist mode is dropped."""
+def spectral_gradient(v: ScalarField):
+    """Spectral gradient components, yielded one at a time; an even axis's
+    Nyquist mode is dropped."""
     g = v.grid
     vh = g.rfft(v.values)
-    comps = []
     for n, k in zip(g.sizes, g.half_wavenumbers()):
         k = np.where(2 * np.abs(k) == n, 0.0, k)
-        comps.append(ScalarField(g, g.irfft(2j * np.pi * k * vh)))
-    return comps
+        yield ScalarField._adopt(g, g.irfft(2j * np.pi * k * vh))
 
 
 def dirichlet_energy(v: ScalarField) -> float:
@@ -198,7 +212,7 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
         shift = np.exp(-2j * np.pi * k * (0.5 * v.grid.spacing[axis]))
         shape = [1] * v.grid.dim
         shape[axis] = len(k)
-        coef = coef * (np.where(2 * np.abs(k) == n, 0.5, 1.0) * shift).reshape(shape)
+        coef *= (np.where(2 * np.abs(k) == n, 0.5, 1.0) * shift).reshape(shape)
         operands += [np.exp(2j * np.pi * np.outer(pts[:, axis], k)), [v.grid.dim, axis]]
     operands[2:2] = [coef, list(range(v.grid.dim))]   # e_0, coef, e_1, ...
     return np.real(np.einsum(*operands, [v.grid.dim]))
@@ -259,14 +273,14 @@ def green_function_2d(x, y, tol: float = TOLERANCES.kernel_tail):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("x and y must be finite coordinates")
     d1 = x[..., 0] - y[..., 0]
     d2 = x[..., 1] - y[..., 1]
     s = circle_distance(d2)
     th = 2.0 * np.pi * d1
     arg = 1.0 - 2.0 * np.exp(-2.0 * np.pi * s) * np.cos(th) + np.exp(-4.0 * np.pi * s)
-    if not np.all(arg > 0):   # also catches NaN
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValidationError("x and y must be finite coordinates")
+    if not np.all(arg > 0):
         raise ValidationError("Green function evaluated at coincident points")
     val = green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
     q = np.arange(1, _green2d_qmax(tol) + 1)
@@ -305,4 +319,4 @@ def load_field(path: str) -> ScalarField:
         sizes = tuple(int(s) for s in parts[3].split("=")[1].split(","))
         grid = make_grid(dim, sizes)
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(sizes)
-    return ScalarField(grid, data.copy())
+    return ScalarField(grid, data)

@@ -258,6 +258,28 @@ def test_thread_cap_applies_at_import():
     assert bad.returncode == 1 and "OKSTAB_THREADS" in bad.stderr
 
 
+def test_bad_thread_cap_is_one_error_line_at_the_cli(tmp_path):
+    # both CLI entry points report an invalid OKSTAB_THREADS as one line;
+    # a plain import still raises the ValidationError
+    import okstab
+    env = dict(os.environ, OKSTAB_THREADS="abc",
+               PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
+    script = tmp_path / "okstab"     # what the installed console script runs
+    script.write_text("import sys\nfrom okstab.cli import main\n"
+                      "if __name__ == '__main__':\n    sys.exit(main())\n")
+    args = ["energy", "--shape", "lamella", "--k", "1", "--m", "0", "--gamma", "1"]
+    for cmd in ([sys.executable, "-m", "okstab.cli"], [sys.executable, str(script)]):
+        out = subprocess.run(cmd + args, capture_output=True, text=True, env=env)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: OKSTAB_THREADS must be a positive integer, got 'abc'"]
+    code = ("import sys\ntry:\n    import okstab\nexcept ValueError as exc:\n"
+            "    print(type(exc).__module__, type(exc).__name__)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.stdout.split() == ["okstab.config", "ValidationError"]
+
+
 def test_library_runs_without_scipy():
     # the indicator-field energy (marching squares and the spectral solve),
     # the droplet Euler-Lagrange residual (trigonometric interpolation), the

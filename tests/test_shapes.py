@@ -47,6 +47,20 @@ def test_rasterize_alphabet_and_mean():
     assert abs(volume_fraction(d) - want) < 4 * 0.2 * (1 / 256)  # O(h) rim error
 
 
+@pytest.mark.parametrize("sizes, center, r", [
+    ((45, 64), (0.97, 0.02), 0.3), ((9, 10, 11), (0.1, 0.5, 0.93), 0.35)])
+def test_droplet_raster_matches_meshgrid_distance(sizes, center, r):
+    # reference: squared periodic distance summed over full meshgrid axes
+    g = make_grid(len(sizes), sizes)
+    dist2 = np.zeros(g.sizes)
+    for c, x0 in zip(g.coords(), center):
+        dd = np.abs(c - x0) % 1.0
+        dd = np.minimum(dd, 1.0 - dd)
+        dist2 += dd * dd
+    want = np.where(dist2 <= r**2, 1.0, -1.0)
+    assert np.array_equal(rasterize(Droplet(center, r, len(sizes)), g).values, want)
+
+
 def test_rasterize_monotone_in_a():
     g = make_grid(1, (64,))
     u1 = rasterize(Lamella(k=1, m=-0.2, axis=0, dim=1), g)

@@ -166,6 +166,21 @@ def test_cached_spectrum_cannot_go_stale():
     assert not v.values.flags.writeable
 
 
+def test_field_owns_its_values():
+    # a view of the caller's array, taken before the spectrum was cached,
+    # must not reach the field's values
+    g = make_grid(1, (16,))
+    a = np.zeros(16)
+    view = a[:]
+    u = ScalarField(g, a)
+    spec = u.spectrum.copy()
+    view[0] = 1.0
+    a[1] = 2.0
+    assert not np.any(u.values)
+    assert np.array_equal(u.spectrum, spec)
+    assert np.array_equal(u.spectrum, np.fft.rfftn(u.values))
+
+
 def test_green2d_coincident_rejected():
     with pytest.raises(ValidationError, match="coincident points"):
         green_function_2d(np.array([0.2, 0.2]), np.array([0.2, 0.2]))
