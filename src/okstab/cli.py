@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_FIELD_GRID, read_key_values
+from .config import read_key_values
 from .energy import (el_residual, energy, graph_energy, isoperimetric_compare,
                      volume_corrected_perturbation)
 from .flow import run_flow, tanh_profile
@@ -187,8 +187,12 @@ def cmd_iso_compare(args):
 
 def cmd_criticality(args):
     shape = _shape_from_args(args)
+    if args.grid is not None and (isinstance(shape, Lamella) or args.gamma == 0):
+        # el_residual takes v from the exact profile or needs none at all
+        raise ValidationError("--grid has no use for a lamella or at --gamma 0; "
+                              "drop it")
     mesh = boundary_mesh(shape, args.n_points)
-    grid = make_grid(2, (args.grid or DEFAULT_FIELD_GRID,) * 2)
+    grid = make_grid(2, (args.grid,) * 2) if args.grid is not None else None
     rep = el_residual(mesh, args.gamma, grid)
     return "quantity,value", [("lambda", rep.lam),
                               ("residual_sup", rep.residual_sup)]
@@ -222,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
     io = _io_options()
 
-    shape = argparse.ArgumentParser(add_help=False)
+    strips = argparse.ArgumentParser(add_help=False)
+    strips.add_argument("--k", type=int, default=1)
+    strips.add_argument("--m", type=float, default=0.0)
+
+    shape = argparse.ArgumentParser(add_help=False, parents=[strips])
     shape.add_argument("--shape", required=True, choices=["lamella", "droplet"])
-    shape.add_argument("--k", type=int, default=1)
-    shape.add_argument("--m", type=float, default=0.0)
     shape.add_argument("--gamma", type=float, default=0.0)
     shape.add_argument("--radius", type=float, default=0.25)
     shape.add_argument("--center", default="0.5,0.5")
@@ -251,10 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.set_defaults(func=cmd_threshold)
 
-    sp = sub.add_parser("perturb-test", parents=[io],
+    sp = sub.add_parser("perturb-test", parents=[strips, io],
                         help="random perturbation sampling")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
@@ -263,19 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amplitude", type=float, default=0.25)
     sp.set_defaults(func=cmd_perturb_test)
 
-    sp = sub.add_parser("fd-check", parents=[io],
+    sp = sub.add_parser("fd-check", parents=[strips, io],
                         help="second difference vs quadratic form")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--interface", type=int, default=0)
     sp.add_argument("--t", type=float, default=0.02)
     sp.set_defaults(func=cmd_fd_check)
 
-    sp = sub.add_parser("flow", parents=[io], help="conserved diffuse-interface flow")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=float, default=0.0)
+    sp = sub.add_parser("flow", parents=[strips, io],
+                        help="conserved diffuse-interface flow")
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--gamma0", type=float, default=0.0)
     sp.add_argument("--grid", type=int, default=128)

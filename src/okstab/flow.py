@@ -175,8 +175,7 @@ def tanh_profile(shape: Lamella, grid: TorusGrid, epsilon: float) -> ScalarField
     return ScalarField._adopt(grid, np.sign(ind.values) * np.tanh(dist / epsilon))
 
 
-def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048,
-                     max_steps: int = 4000) -> float:
+def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048) -> float:
     """Interfacial cost per interface of the 1D double-well energy.
 
     Relaxes a two-interface strip profile at each eps (gamma0 = 0), halves
@@ -190,7 +189,7 @@ def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048,
         if eps < 4.0 / n:
             raise ValidationError(f"epsilon {eps} under-resolved on {n} points")
         u0 = tanh_profile(Lamella(k=1, m=0.0, axis=0, dim=1), grid, eps)
-        st = run_flow(u0, eps, 0.0, dt=eps * 1e-2, max_steps=max_steps,
+        st = run_flow(u0, eps, 0.0, dt=eps * 1e-2, max_steps=4000,
                       stop_tol=1e-8)
         costs.append(0.5 * st.energy)
     if len(costs) >= 2:

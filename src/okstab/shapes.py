@@ -249,8 +249,9 @@ def volume_fraction(u: ScalarField) -> float:
 # perimeters
 # ---------------------------------------------------------------------------
 
-def perimeter_exact(shape: ShapeConfig, n_quad: int = 2048) -> float:
-    """Exact (or spectrally converged) perimeter of a parametric shape."""
+def perimeter_exact(shape: ShapeConfig) -> float:
+    """Exact (or spectrally converged, on 2048 lateral nodes) perimeter of a
+    parametric shape."""
     if isinstance(shape, Lamella):
         return 2.0 * shape.k
     if isinstance(shape, Droplet):
@@ -260,91 +261,58 @@ def perimeter_exact(shape: ShapeConfig, n_quad: int = 2048) -> float:
     if isinstance(shape, DropletSet):
         return sum(perimeter_exact(d) for d in shape.droplets)
     if isinstance(shape, GraphPerturbation):
-        dpsi = periodic_derivative(resample_periodic(shape.psi, n_quad))
+        dpsi = periodic_derivative(resample_periodic(shape.psi, 2048))
         return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())
     raise ValidationError(f"unknown shape {type(shape)}")
 
 
-def perimeter_grid(u: ScalarField, smooth_sigma_cells: float = 2.0) -> float:
+def perimeter_grid(u: ScalarField) -> float:
     """Contour length of the zero level set of a +-1 indicator field.
 
-    The field is mollified by a narrow periodic Gaussian (a couple of cells wide)
-    so that linear interpolation locates sub-cell crossings; marching squares
-    with saddle disambiguation then accumulates segment lengths.  Second-order
+    The field is mollified by a periodic Gaussian two cells wide so that
+    linear interpolation locates sub-cell crossings; marching squares with
+    saddle disambiguation then accumulates segment lengths.  Second-order
     accurate on smooth interfaces.
     """
-    if u.grid.dim != 2:
+    g = u.grid
+    if g.dim != 2:
         raise ValidationError("grid perimeter implemented for T^2 only")
     vals = u.values
     if np.all(vals > 0) or np.all(vals < 0):
         return 0.0
-    f = _gaussian_smooth(u, smooth_sigma_cells)
-    return _marching_squares_length(f, u.grid)
-
-
-def _gaussian_smooth(u: ScalarField, sigma_cells: float) -> np.ndarray:
-    g = u.grid
-    sig = sigma_cells * max(g.spacing)
-    return g.irfft(g.rfft(u.values) * np.exp(-2.0 * np.pi**2 * sig**2 * g.ksq()))
+    sig = 2.0 * max(g.spacing)
+    f = g.irfft(g.rfft(vals) * np.exp(-2.0 * np.pi**2 * sig**2 * g.ksq()))
+    return _marching_squares_length(f, g)
 
 
 def _marching_squares_length(f: np.ndarray, grid: TorusGrid) -> float:
+    """Length of the zero contour of periodic samples f (v >= 0 is inside).
+
+    Each lattice square joins the linear crossings on its two cut edges.  A
+    saddle, where all four edges are cut, cuts off the two corners whose
+    sign differs from the sign of its corner sum.
+    """
     h0, h1 = grid.spacing
-    v00 = f
-    v10 = np.roll(f, -1, axis=0)
-    v01 = np.roll(f, -1, axis=1)
-    v11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1)
-    b00 = v00 >= 0
-    b10 = v10 >= 0
-    b11 = v11 >= 0
-    b01 = v01 >= 0
-    code = (b00.astype(int) + 2 * b10.astype(int)
-            + 4 * b11.astype(int) + 8 * b01.astype(int))
+    # corners 00, 10, 11, 01; edge e (S, E, N, W) runs from corner e to e + 1
+    v = (f, np.roll(f, -1, 0), np.roll(f, -1, (0, 1)), np.roll(f, -1, 1))
+    inside = [c >= 0 for c in v]
+    cut = [inside[e] != inside[(e + 1) % 4] for e in range(4)]
 
-    def _t(a, b):
-        d = a - b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(np.abs(d) > 0, a / np.where(d == 0, 1.0, d), 0.5)
-        return np.clip(t, 0.0, 1.0)
+    def frac(e, a, b):     # crossing on edge e, as a fraction from a to b
+        return np.divide(v[a], v[a] - v[b], out=np.zeros_like(f), where=cut[e])
 
-    # local crossing coordinates on the four edges of each lattice square
-    S = np.stack([_t(v00, v10) * h0, np.zeros_like(f)], axis=-1)
-    E = np.stack([np.full_like(f, h0), _t(v10, v11) * h1], axis=-1)
-    N = np.stack([_t(v01, v11) * h0, np.full_like(f, h1)], axis=-1)
-    W = np.stack([np.zeros_like(f), _t(v00, v01) * h1], axis=-1)
-    edges = {"S": S, "E": E, "N": N, "W": W}
-
-    simple = {1: ("W", "S"), 2: ("S", "E"), 3: ("W", "E"), 4: ("E", "N"),
-              6: ("S", "N"), 7: ("W", "N"), 8: ("W", "N"), 9: ("S", "N"),
-              11: ("E", "N"), 12: ("W", "E"), 13: ("S", "E"), 14: ("W", "S")}
-
+    x = (h0 * frac(0, 0, 1), np.full_like(f, h0), h0 * frac(2, 3, 2), np.zeros_like(f))
+    y = (np.zeros_like(f), h1 * frac(1, 1, 2), np.full_like(f, h1), h1 * frac(3, 0, 3))
+    saddle = cut[0] & cut[1] & cut[2] & cut[3]
+    centre = sum(v) >= 0
+    # corner c lies between edges c - 1 and c; opposite edges S-N and E-W
+    segments = [(c - 1, c, cut[c - 1] & cut[c] & (~saddle | (inside[c] != centre)))
+                for c in range(4)]
+    segments += [(e, e + 2, cut[e] & cut[e + 2] & ~saddle) for e in range(2)]
     total = 0.0
-    for c, (ea, eb) in simple.items():
-        mask = code == c
-        if not mask.any():
-            continue
-        seg = edges[ea][mask] - edges[eb][mask]
-        total += float(np.sqrt((seg**2).sum(axis=1)).sum())
-
-    for c in (5, 10):
-        mask = code == c
-        if not mask.any():
-            continue
-        center_in = (v00 + v10 + v11 + v01)[mask] >= 0
-        if c == 5:
-            # inside corners 00 and 11
-            pair_in = (("S", "E"), ("W", "N"))    # center inside
-            pair_out = (("W", "S"), ("E", "N"))   # center outside
-        else:
-            # inside corners 10 and 01
-            pair_in = (("W", "S"), ("E", "N"))
-            pair_out = (("S", "E"), ("W", "N"))
-        for sel, pairs in ((center_in, pair_in), (~center_in, pair_out)):
-            if not sel.any():
-                continue
-            for ea, eb in pairs:
-                seg = edges[ea][mask][sel] - edges[eb][mask][sel]
-                total += float(np.sqrt((seg**2).sum(axis=1)).sum())
+    for a, b, m in segments:
+        dx, dy = x[a][m] - x[b][m], y[a][m] - y[b][m]
+        total += float(np.sqrt(dx * dx + dy * dy).sum())
     return total
 
 
@@ -403,70 +371,51 @@ class BoundaryMesh:
 
 
 def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
-    """Uniform-parameter sampling of each boundary component (n_points each)."""
+    """Uniform-parameter sampling of each boundary component (n_points each).
+
+    A component is (points, normals, curvature, speeds); its arc-length
+    weights are speeds / n_points.
+    """
     if n_points < 64:
         raise ValidationError("n_points must be >= 64")
     if shape.dim != 2:
         raise ValidationError("boundary meshes are 2D only")
     t = np.arange(n_points) / n_points
-    pts, nrm, kap, wts, comps, spd = [], [], [], [], [], []
 
-    def add_component(p, n, k, w, s):
-        start = sum(len(c) for c in pts)
-        pts.append(p)
-        nrm.append(n)
-        kap.append(k)
-        wts.append(w)
-        spd.append(s)
-        comps.append((start, start + len(p)))
+    def along(xy, axis):    # (lateral, axis) columns in (x0, x1) order
+        return xy if axis == 1 else xy[:, ::-1]
 
     if isinstance(shape, Lamella):
         pos, sgn = shape.interfaces()
-        for s0, sg in zip(pos, sgn):
-            p = np.stack([t, np.full_like(t, s0)], axis=1)
-            if shape.axis == 0:
-                p = p[:, ::-1]
-            n = np.zeros((n_points, 2))
-            n[:, shape.axis] = sg
-            add_component(p, n, np.zeros(n_points),
-                          np.full(n_points, 1.0 / n_points), np.ones(n_points))
+        parts = [(along(np.stack([t, np.full_like(t, s0)], axis=1), shape.axis),
+                  along(np.stack([np.zeros_like(t), np.full_like(t, sg)], axis=1),
+                        shape.axis),
+                  np.zeros(n_points), np.ones(n_points)) for s0, sg in zip(pos, sgn)]
     elif isinstance(shape, Droplet):
         th = 2.0 * np.pi * t
         r = shape.radius
-        c = np.asarray(shape.center)
-        p = np.stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)], axis=1) % 1.0
-        n = np.stack([np.cos(th), np.sin(th)], axis=1)
-        add_component(p, n, np.full(n_points, 1.0 / r),
-                      np.full(n_points, 2.0 * np.pi * r / n_points),
-                      np.full(n_points, 2.0 * np.pi * r))
+        nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
+        parts = [((np.asarray(shape.center) + r * nrm) % 1.0, nrm,
+                  np.full(n_points, 1.0 / r), np.full(n_points, 2.0 * np.pi * r))]
     elif isinstance(shape, GraphPerturbation):
-        base = shape.base
-        pos, sgn = base.interfaces()
+        _check_no_collision(shape)
+        pos, sgn = shape.base.interfaces()
         psi = resample_periodic(shape.psi, n_points)
         dpsi = periodic_derivative(psi)
-        d2psi = periodic_derivative(psi, order=2)
-        for j, (s0, sg) in enumerate(zip(pos, sgn)):
-            hts = s0 + psi[j]
-            root = np.sqrt(1.0 + dpsi[j] ** 2)
-            p = np.stack([t, hts % 1.0], axis=1)
-            if base.axis == 0:
-                p = p[:, ::-1]
-            n = np.stack([-dpsi[j], np.ones(n_points)], axis=1) * (sg / root)[:, None]
-            if base.axis == 0:
-                n = n[:, ::-1]
-            # H = div_tau(nu); equals -sg * h'' / (1 + h'^2)^{3/2} for the
-            # outward normal (checks out against +1/r on a circle)
-            k = -sg * d2psi[j] / root**3
-            add_component(p, n, k, root / n_points, root)
+        root = np.sqrt(1.0 + dpsi**2)
+        # H = div_tau(nu) = -sg * h'' / (1 + h'^2)^{3/2} for the outward
+        # normal (checks out against +1/r on a circle)
+        kap = -sgn[:, None] * periodic_derivative(psi, order=2) / root**3
+        parts = [(along(np.stack([t, (s0 + psi[j]) % 1.0], axis=1), shape.base.axis),
+                  along(np.stack([-dpsi[j], np.ones(n_points)], axis=1)
+                        * (sg / root[j])[:, None], shape.base.axis),
+                  kap[j], root[j]) for j, (s0, sg) in enumerate(zip(pos, sgn))]
     else:
         raise ValidationError(f"no boundary mesh for {type(shape)}")
-
-    mesh = BoundaryMesh(np.concatenate(pts), np.concatenate(nrm),
-                        np.concatenate(kap), np.concatenate(wts),
-                        comps, np.concatenate(spd), shape)
-    if isinstance(shape, GraphPerturbation):
-        _check_no_collision(shape)
-    return mesh
+    points, normals, curvature, speeds = (np.concatenate(c) for c in zip(*parts))
+    return BoundaryMesh(points, normals, curvature, speeds / n_points,
+                        [(i * n_points, (i + 1) * n_points) for i in range(len(parts))],
+                        speeds, shape)
 
 
 def _check_no_collision(gp: GraphPerturbation):

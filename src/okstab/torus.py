@@ -256,15 +256,13 @@ def _screened_remainder(q, s):
         4.0 * lam * np.sinh(0.5 * lam))
 
 
-def _green2d_qmax(tol: float) -> int:
-    # remainder terms are bounded by e^{-pi q}/(pi q); solve for the tail bound
-    q = 8
-    while math.exp(-math.pi * q) / (math.pi * q) > 0.1 * tol and q < 200:
-        q += 1
-    return q
+# lateral modes of the Green function's remainder: its terms are bounded by
+# e^{-pi q}/(pi q), so the sum stops at the first q >= 8 under kernel_tail / 10
+_GREEN2D_QMAX = next((q for q in range(8, 200) if math.exp(-math.pi * q) / (math.pi * q)
+                      <= 0.1 * TOLERANCES.kernel_tail), 200)
 
 
-def green_function_2d(x, y, tol: float = TOLERANCES.kernel_tail):
+def green_function_2d(x, y):
     """Torus Green function G(x, y) on T^2 (mean-zero normalization).
 
     Split into the explicitly summed log-singular part and a rapidly
@@ -283,15 +281,14 @@ def green_function_2d(x, y, tol: float = TOLERANCES.kernel_tail):
     if not np.all(arg > 0):
         raise ValidationError("Green function evaluated at coincident points")
     val = green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
-    q = np.arange(1, _green2d_qmax(tol) + 1)
+    q = np.arange(1, _GREEN2D_QMAX + 1)
     rq = _screened_remainder(q, s[..., None])
     return val + np.sum(2.0 * np.cos(2.0 * np.pi * q * d1[..., None]) * rq, axis=-1)
 
 
-def green2d_self_regularized(tol: float = TOLERANCES.kernel_tail) -> float:
+def green2d_self_regularized() -> float:
     """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)]; constant by translation invariance."""
-    qmax = _green2d_qmax(tol)
-    q = np.arange(1, qmax + 1)
+    q = np.arange(1, _GREEN2D_QMAX + 1)
     return float(1.0 / 12.0 - np.log(2.0 * np.pi) / (2.0 * np.pi)
                  + np.sum(2.0 * _screened_remainder(q, 0.0)))
 

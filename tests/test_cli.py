@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from okstab.cli import build_parser, dispatch
-from okstab.shapes import Droplet, alpha_distance, lamella, rasterize, save_shape
+from okstab.energy import el_residual
+from okstab.shapes import (Droplet, alpha_distance, boundary_mesh, lamella, rasterize,
+                           save_shape)
 from okstab.torus import make_grid
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -188,11 +190,13 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["energy", "--shape", "lamella", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "inf"], "gamma must"),
     (["fd-check", "--gamma", "nan"], "gamma must"),
+    (["criticality", "--shape", "lamella", "--gamma", "1", "--grid", "64"], "--grid"),
+    (["criticality", "--shape", "droplet", "--gamma", "0", "--grid", "64"], "--grid"),
 ], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
         "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
         "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
         "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
-        "fd-check-gamma=nan"])
+        "fd-check-gamma=nan", "criticality-lamella-grid", "criticality-gamma0-grid"])
 def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named):
     out = os.path.join(str(tmp_path), "out.csv")
     assert dispatch(argv + ["--out", out]) == 1
@@ -200,6 +204,18 @@ def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not os.path.exists(out)
+
+
+def test_criticality_grid_sets_the_raster(tmp_path):
+    rc, out = _run(tmp_path, ["criticality", "--shape", "droplet", "--gamma", "2",
+                              "--grid", "32", "--n-points", "64"])
+    assert rc == 0
+    text = Path(out).read_text()
+    assert "# grid=32\n" in text
+    got = float(text.splitlines()[-2].split(",")[1])
+    want = el_residual(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 2.0,
+                       make_grid(2, (32, 32))).lam
+    assert got == want
 
 
 def test_alpha_matches_library(tmp_path):

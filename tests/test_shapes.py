@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
-                           LamellaPotential, alpha_distance, boundary_mesh,
+                           LamellaPotential, _marching_squares_length,
+                           alpha_distance, boundary_mesh,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, rasterize, recenter_translation,
                            lamella_source_field, resample_periodic, save_shape,
@@ -135,6 +137,66 @@ def test_perimeter_grid():
     assert abs(perimeter_grid(d) - 2 * np.pi * 0.2) < 0.01 * 2 * np.pi * 0.2
     flat = ScalarField(g, np.ones(g.sizes))
     assert perimeter_grid(flat) == 0.0
+
+
+# contour segments of a lattice square by corner code (bit b set when corner
+# b of 00, 10, 11, 01 has f >= 0), as pairs of cut edges; a saddle (5, 10)
+# looks up whether its corner sum is >= 0
+_SQUARE_SEGMENTS = {
+    1: [("W", "S")], 2: [("S", "E")], 3: [("W", "E")], 4: [("E", "N")],
+    6: [("S", "N")], 7: [("W", "N")], 8: [("W", "N")], 9: [("S", "N")],
+    11: [("E", "N")], 12: [("W", "E")], 13: [("S", "E")], 14: [("W", "S")],
+    (5, True): [("S", "E"), ("W", "N")], (5, False): [("W", "S"), ("E", "N")],
+    (10, True): [("W", "S"), ("E", "N")], (10, False): [("S", "E"), ("W", "N")]}
+
+
+def _brute_contour_length(f):
+    n0, n1 = f.shape
+    h0, h1 = 1.0 / n0, 1.0 / n1
+    total = 0.0
+    for i in range(n0):
+        for j in range(n1):
+            c = (f[i, j], f[(i + 1) % n0, j], f[(i + 1) % n0, (j + 1) % n1],
+                 f[i, (j + 1) % n1])
+            code = sum(1 << b for b in range(4) if c[b] >= 0)
+            if code in (5, 10):
+                code = (code, sum(c) >= 0)
+
+            def point(edge):
+                a, b, origin, step = {"S": (0, 1, (0.0, 0.0), (h0, 0.0)),
+                                      "E": (1, 2, (h0, 0.0), (0.0, h1)),
+                                      "N": (3, 2, (0.0, h1), (h0, 0.0)),
+                                      "W": (0, 3, (0.0, 0.0), (0.0, h1))}[edge]
+                s = c[a] / (c[a] - c[b])
+                return origin[0] + s * step[0], origin[1] + s * step[1]
+
+            for ea, eb in _SQUARE_SEGMENTS.get(code, []):
+                (xa, ya), (xb, yb) = point(ea), point(eb)
+                total += math.hypot(xa - xb, ya - yb)
+    return total
+
+
+def _saddles(f):
+    """(saddle count, saddles whose corner sum is exactly 0)"""
+    c = [f, np.roll(f, -1, 0), np.roll(f, -1, (0, 1)), np.roll(f, -1, 1)]
+    code = sum((v >= 0) << b for b, v in enumerate(c))
+    saddle = (code == 5) | (code == 10)
+    return int(saddle.sum()), int((saddle & (sum(c) == 0)).sum())
+
+
+@pytest.mark.parametrize("sizes, kind", [
+    ((8, 8), "normal"), ((37, 80), "normal"), ((80, 23), "normal"),
+    ((16, 16), "sign"), ((45, 31), "sign"), ((20, 64), "rounded")])
+def test_marching_squares_matches_per_square_loop(sizes, kind):
+    rng = np.random.default_rng(sum(sizes))
+    f = rng.standard_normal(sizes)
+    if kind != "normal":      # +-1 or integer values: exact ties in saddles
+        f = np.sign(f) if kind == "sign" else np.rint(f)
+    saddles, ties = _saddles(f)
+    assert saddles > 0 and (ties > 0 or kind == "normal")
+    want = _brute_contour_length(f)
+    got = _marching_squares_length(f, make_grid(2, sizes))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_perimeter_grid_refinement():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,15 +12,15 @@ from okstab.config import DEFAULT_FIELD_GRID
 from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
                            periodic_derivative, rasterize)
-from okstab.stability import (_bloch_blocks, _bloch_vector,
+from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               _log_quadrature_block, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
                               lamella_mode_matrix, stability_threshold_gamma,
                               stability_threshold_k, translation_form_value)
-from okstab.torus import (ScalarField, ValidationError, green2d_self_regularized,
-                          green_function_2d, make_grid, solve_poisson_periodic,
-                          spectral_gradient, trig_interpolate)
+from okstab.torus import (NumericalError, ScalarField, ValidationError,
+                          green2d_self_regularized, green_function_2d, make_grid,
+                          solve_poisson_periodic, spectral_gradient, trig_interpolate)
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
 
@@ -298,21 +299,52 @@ def test_boundary_form_matches_all_pairs_assembly(mesh, gamma):
     assert np.array_equal(form.h1, H1)
 
 
+def _traced_peak(call):
+    """tracemalloc peak in bytes of a second call (the first warms the caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("shape, n, limit_mb", [
-    (lamella(2, -0.2), 256, 64.0), (Droplet((0.43, 0.57), 0.22), 256, 8.0)],
+    (lamella(2, -0.2), 256, 32.0), (Droplet((0.43, 0.57), 0.22), 256, 8.0)],
     ids=["lamella-k2", "droplet"])
 def test_boundary_form_peak_memory(shape, n, limit_mb):
     # the Green function on all n^2 - n ordered pairs at once peaked at
-    # 346 MB (k=2, 1024 nodes) and 23 MB (droplet)
+    # 346 MB (k=2, 1024 nodes) and 23 MB (droplet); a symmetry check through
+    # |A - A.T| at 34.8 MB (k=2)
     mesh = boundary_mesh(shape, n)
-    assemble_boundary_form(mesh, 5.0)     # warm the caches
-    tracemalloc.start()
-    try:
-        assemble_boundary_form(mesh, 5.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: assemble_boundary_form(mesh, 5.0))
     assert peak < limit_mb * 1e6, peak / 1e6
+
+
+def test_constrained_min_eig_l2_peak_memory():
+    # a dense diag(weights) mass and a second SVD peaked at 3.61 MB
+    form = assemble_boundary_form(boundary_mesh(Droplet((0.43, 0.57), 0.22), 256), 5.0)
+    peak = _traced_peak(lambda: constrained_min_eig(form, "l2"))
+    assert peak < 3.3e6, peak / 1e6
+
+
+def test_rank_deficient_constraints_rejected():
+    form = assemble_boundary_form(boundary_mesh(lamella(1, 0.0), 64), 1.0)
+    C = form.constraints
+    for bad in (np.vstack([C, C[0]]), np.vstack([C, C[0] + 1e-14 * C[-1]])):
+        with pytest.raises(ValidationError, match="rank deficient"):
+            constrained_min_eig(dataclasses.replace(form, constraints=bad))
+
+
+def test_asymmetric_form_rejected():
+    form = assemble_boundary_form(boundary_mesh(lamella(1, 0.0), 64), 1.0)
+    A = form.matrix.copy()
+    A[0, 1] += 1e-12 * np.abs(A).max()      # within the tolerance
+    QuadraticFormMatrix(A, form.weights, form.h1, form.constraints, form.frame)
+    A[0, 1] += 1e-9 * np.abs(A).max()
+    with pytest.raises(NumericalError, match="lost symmetry"):
+        QuadraticFormMatrix(A, form.weights, form.h1, form.constraints, form.frame)
 
 
 def test_boundary_form_translation_nullity():
