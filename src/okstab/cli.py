@@ -59,21 +59,35 @@ def _provenance(args):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _use_options(args, unused, why, **defaults):
+    """The rule for options a run may not use: each given one of `unused` is
+    an error naming it, each unset one of `defaults` takes its default."""
+    for name in unused:
+        if vars(args)[name] is not None:
+            raise ValidationError(f"--{name} has no use {why}; drop it")
+    for name, default in defaults.items():
+        if vars(args)[name] is None:
+            setattr(args, name, default)
+
+
 def _shape_from_args(args):
-    """Shape from the shape options; a bad value is a ValidationError
-    naming its key."""
+    """Shape from the shape options; another shape's option is an error, a
+    bad value a ValidationError naming its key."""
+    if args.shape == "lamella":
+        _use_options(args, ("radius", "center", "grid"), "for a lamella", k=1, m=0.0)
+    else:
+        _use_options(args, ("k", "m"), "for a droplet", radius=0.25, center="0.5,0.5")
     return record_to_shape(dict(vars(args), kind=args.shape))
 
 
 def cmd_energy(args):
     shape = _shape_from_args(args)
     grid = None
-    if args.grid:
-        dim = shape.dim
-        grid = make_grid(dim, (args.grid,) * dim)
+    if args.grid is not None:
+        grid = make_grid(shape.dim, (args.grid,) * shape.dim)
     br = energy(shape, args.gamma, grid)
     return "m,gamma,k,perimeter,nonlocal,total", [
-        (args.m, args.gamma, getattr(shape, "k", ""), br.perimeter,
+        (getattr(shape, "m", ""), args.gamma, getattr(shape, "k", ""), br.perimeter,
          br.nonlocal_term, br.total)]
 
 
@@ -89,10 +103,12 @@ def cmd_stability_scan(args):
 
 def cmd_threshold(args):
     if args.mode == "gamma":
+        _use_options(args, ("gamma",), "with --mode gamma", k=1)
         rep = stability_threshold_gamma(args.m, args.k)
         val = rep.gamma_c if rep.gamma_c is not None else "stable"
         rows = [(args.m, args.k, "gamma_c", val)]
     else:
+        _use_options(args, ("k",), "with --mode k", gamma=1.0)
         rep = stability_threshold_k(args.m, args.gamma)
         rows = [(args.m, args.gamma, "k0",
                  rep.k0 if rep.k0 is not None else "none")]
@@ -187,10 +203,8 @@ def cmd_iso_compare(args):
 
 def cmd_criticality(args):
     shape = _shape_from_args(args)
-    if args.grid is not None and (isinstance(shape, Lamella) or args.gamma == 0):
-        # el_residual takes v from the exact profile or needs none at all
-        raise ValidationError("--grid has no use for a lamella or at --gamma 0; "
-                              "drop it")
+    if args.gamma == 0:     # el_residual needs no potential
+        _use_options(args, ("grid",), "at --gamma 0")
     mesh = boundary_mesh(shape, args.n_points)
     grid = make_grid(2, (args.grid,) * 2) if args.grid is not None else None
     rep = el_residual(mesh, args.gamma, grid)
@@ -230,13 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     strips.add_argument("--k", type=int, default=1)
     strips.add_argument("--m", type=float, default=0.0)
 
-    shape = argparse.ArgumentParser(add_help=False, parents=[strips])
+    shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument("--shape", required=True, choices=["lamella", "droplet"])
+    shape.add_argument("--k", type=int, help="lamella only (default 1)")
+    shape.add_argument("--m", type=float, help="lamella only (default 0.0)")
     shape.add_argument("--gamma", type=float, default=0.0)
-    shape.add_argument("--radius", type=float, default=0.25)
-    shape.add_argument("--center", default="0.5,0.5")
+    shape.add_argument("--radius", type=float, help="droplet only (default 0.25)")
+    shape.add_argument("--center", help="droplet only (default 0.5,0.5)")
     shape.add_argument("--dim", type=int, default=2)
-    shape.add_argument("--grid", type=int, default=None)
+    shape.add_argument("--grid", type=int,
+                       help="droplet only: raster size per axis (default 256)")
 
     sp = sub.add_parser("energy", parents=[shape, io],
                         help="energy breakdown of a shape")
@@ -253,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("threshold", parents=[io], help="gamma_c or k0 threshold")
     sp.add_argument("--mode", choices=["gamma", "k"], required=True)
     sp.add_argument("--m", type=float, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--gamma", type=float, default=1.0)
+    sp.add_argument("--k", type=int, help="--mode gamma only (default 1)")
+    sp.add_argument("--gamma", type=float, help="--mode k only (default 1.0)")
     sp.set_defaults(func=cmd_threshold)
 
     sp = sub.add_parser("perturb-test", parents=[strips, io],

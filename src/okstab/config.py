@@ -45,8 +45,7 @@ TOLERANCES = Tolerances()
 
 # grid defaults
 MIN_GRID_SIZE = 8
-DEFAULT_FIELD_GRID = 256      # per-axis resolution for v_E in boundary sampling
-DEFAULT_AXIS_GRID = 512       # 1D resolution for lamella potentials
+DEFAULT_FIELD_GRID = 256      # per-axis raster of a grid potential in 1D and 2D
 DEFAULT_Q2_MODES = 2048       # vertical mode cutoff for the graph-shape nonlocal energy
 
 

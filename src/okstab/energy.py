@@ -1,9 +1,9 @@
 """Sharp-interface energy: perimeter + gamma * nonlocal Dirichlet term.
 
-Evaluation for parametric shapes and raw indicator fields, closed-form
-lamella values, Euler-Lagrange residuals on boundary meshes, the Lipschitz
-ratio of the nonlocal term, and the classical candidate comparison
-(strip / disc / cylinder / ball).
+The potential layer (each shape's v), evaluation for parametric shapes and
+raw indicator fields, closed-form lamella values, Euler-Lagrange residuals
+on boundary meshes, the Lipschitz ratio of the nonlocal term, and the
+classical candidate comparison (strip / disc / cylinder / ball).
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_AXIS_GRID, DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
+from .config import DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
-                     ShapeConfig, lamella_source_field, perimeter_exact,
-                     perimeter_grid, rasterize)
+                     ShapeConfig, perimeter_exact, perimeter_grid, rasterize)
 from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
-                    solve_poisson_periodic, trig_interpolate)
+                    solve_poisson_periodic, spectral_gradient, trig_interpolate)
 
 
 def _check_gamma(gamma: float):
@@ -43,41 +42,67 @@ class EnergyBreakdown:
         return self.perimeter + self.gamma * self.nonlocal_term
 
 
-def _default_grid(dim: int) -> TorusGrid:
-    if dim == 1:
-        return make_grid(1, (DEFAULT_AXIS_GRID,))
-    if dim == 2:
-        return make_grid(2, (DEFAULT_FIELD_GRID, DEFAULT_FIELD_GRID))
-    return make_grid(3, (64, 64, 64))
-
-
 def nonlocal_energy_field(u: ScalarField) -> float:
     """int |grad v|^2 with -Lap v = u - mean(u), as sum |uhat|^2 / (4 pi^2 |xi|^2)."""
     g = u.grid
     return g.parseval(g.inverse_laplacian() * np.abs(u.spectrum) ** 2)
 
 
+class GridPotential:
+    """Potential v of a shape's indicator rasterized on a torus grid (default
+    256^2 in 2D, 64^3 in 3D), rasterized and solved once, on first use; v and
+    its normal derivative reach a mesh by trigonometric interpolation."""
+
+    def __init__(self, shape: ShapeConfig, grid: TorusGrid | None = None):
+        n = DEFAULT_FIELD_GRID if shape.dim < 3 else 64
+        self.shape = shape
+        self.grid = grid if grid is not None else make_grid(shape.dim, (n,) * shape.dim)
+
+    @functools.cached_property
+    def _u(self) -> ScalarField:
+        return rasterize(self.shape, self.grid)
+
+    @functools.cached_property
+    def _v(self) -> ScalarField:
+        u = self._u
+        return solve_poisson_periodic(ScalarField._adopt(self.grid, u.values - u.mean()))
+
+    def on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
+        return trig_interpolate(self._v, mesh.points)
+
+    def dnv_on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
+        return sum(trig_interpolate(c, mesh.points) * nu     # one component
+                   for c, nu in zip(spectral_gradient(self._v), mesh.normals.T))
+
+    def dirichlet_energy(self) -> float:
+        return nonlocal_energy_field(self._u)
+
+
+def potential(shape: ShapeConfig, grid: TorusGrid | None = None):
+    """Potential of a shape, -Lap v = u - mean(u): on_mesh, dnv_on_mesh and
+    dirichlet_energy, exact for a lamella (which takes no grid), else a
+    GridPotential on `grid`."""
+    if shape is None:
+        raise ValidationError("no shape given, so no potential")
+    if not isinstance(shape, Lamella):
+        return GridPotential(shape, grid)
+    if grid is not None:
+        raise ValidationError("grid has no use for a lamella (exact potential); drop it")
+    return LamellaPotential(shape)
+
+
 def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
     """Energy of a parametric shape or a +-1 indicator field.
 
-    Parametric shapes use the exact perimeter; the nonlocal term is always
-    the spectral solve on the (rasterized) indicator.  Lamellae reduce to a
-    1D solve along their axis.
+    Parametric shapes use the exact perimeter and the nonlocal term of their
+    `potential`: exact for a lamella (a grid is rejected), else the spectral
+    solve on the indicator rasterized on `grid`.
     """
     _check_gamma(gamma)
     if isinstance(obj, ScalarField):
         return EnergyBreakdown(perimeter_grid(obj), nonlocal_energy_field(obj), gamma)
-    shape: ShapeConfig = obj
-    if isinstance(shape, Lamella):
-        # 1D reduction along the axis; band-limited source avoids the
-        # aliasing of raw +-1 sampling at unaligned interfaces
-        n = grid.sizes[shape.axis] if grid is not None else DEFAULT_AXIS_GRID
-        prof = Lamella(k=shape.k, m=shape.m, axis=0, dim=1)
-        nl = nonlocal_energy_field(lamella_source_field(prof, n))
-    else:
-        g = grid if grid is not None else _default_grid(shape.dim)
-        nl = nonlocal_energy_field(rasterize(shape, g))
-    return EnergyBreakdown(perimeter_exact(shape), nl, gamma)
+    return EnergyBreakdown(perimeter_exact(obj), potential(obj, grid).dirichlet_energy(),
+                           gamma)
 
 
 def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
@@ -121,25 +146,14 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
                 grid: TorusGrid | None = None) -> CriticalityReport:
     """Residual of H + 4 gamma v = lambda on the mesh nodes.
 
-    v comes from the rasterized indicator on `grid` (default 256 per axis),
-    sampled at the mesh points by trigonometric interpolation; lambda is the
+    v is the mesh shape's `potential` at the nodes: the exact profile of a
+    lamella (a grid is rejected: rasterizing would contaminate the residual
+    at O(h)), else the indicator's on `grid`.  lambda is the
     arc-length-weighted mean of H + 4 gamma v.
     """
     _check_gamma(gamma)
-    if mesh.shape is None:
-        raise ValidationError("mesh carries no shape; rasterization impossible")
-    g = grid if grid is not None else _default_grid(2)
-    vals = mesh.curvature.copy()
-    if gamma > 0:
-        if isinstance(mesh.shape, Lamella):
-            # exact 1D profile: rasterization quantizes the interface
-            # positions and would contaminate the residual at O(h)
-            vmesh = LamellaPotential(mesh.shape).v(mesh.points[:, mesh.shape.axis])
-        else:
-            u = rasterize(mesh.shape, g)
-            v = solve_poisson_periodic(ScalarField._adopt(g, u.values - u.mean()))
-            vmesh = trig_interpolate(v, mesh.points)
-        vals = vals + 4.0 * gamma * vmesh
+    pot = potential(mesh.shape, grid)
+    vals = mesh.curvature + 4.0 * gamma * pot.on_mesh(mesh) if gamma > 0 else mesh.curvature
     w = mesh.weights / mesh.weights.sum()
     lam = float(np.sum(w * vals))
     res = vals - lam

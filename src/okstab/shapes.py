@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLERANCES, read_key_values
-from .torus import (ScalarField, TorusGrid, ValidationError, green_kernel_screened,
-                    make_grid)
+from .torus import ScalarField, TorusGrid, ValidationError, green_kernel_screened
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +78,8 @@ class Droplet:
             raise ValidationError("droplet radius must lie in (0, 1/2)")
         if len(self.center) != self.dim:
             raise ValidationError("center dimension mismatch")
+        if not np.all(np.isfinite(self.center)):
+            raise ValidationError(f"droplet center must be finite, got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,8 @@ class GraphPerturbation:
             raise ValidationError("graph perturbations are 2D only")
         if psi.shape[0] != 2 * self.base.k:
             raise ValidationError("psi needs one row per interface (2k rows)")
+        if not np.all(np.isfinite(psi)):
+            raise ValidationError("heights psi must be finite")
         guard = TOLERANCES.graph_collision_factor * self.base.interface_gap
         if np.abs(psi).max() >= guard:
             raise ValidationError(
@@ -478,32 +481,18 @@ class LamellaPotential:
         """Outward normal derivative of v at each interface (interface order)."""
         return self._sgn * self.dv(self._pos)
 
+    def on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
+        return self.v(mesh.points[:, self.shape.axis])
+
+    def dnv_on_mesh(self, mesh: BoundaryMesh) -> float:
+        """Outward normal derivative of v on the mesh: the same at every node."""
+        return self.shape.dnv
+
     def dirichlet_energy(self) -> float:
-        """Exact int v'^2 over the circle."""
-        s = self._offsets(self._pos)
-        return float(-4.0 * self._sgn @ ((s * (1.0 - s)) ** 2 / 24.0) @ self._sgn)
-
-
-def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
-    """Band-limited representation of u_L - m on an n-point axis grid.
-
-    Exact Fourier coefficients of the indicator difference, truncated to the
-    grid band; avoids the aliasing of raw +-1 sampling.  1D field along the
-    lamella axis.
-    """
-    grid = make_grid(1, (n,))
-    a = shape.a
-    k = shape.k
-    nu, = grid.half_wavenumbers()
-    c = np.zeros(len(nu), dtype=complex)
-    nz = nu != 0
-    nn = nu[nz]
-    # sum over strips: k identical cells, nonzero only on multiples of k
-    cell = np.where(np.isclose(nn % k, 0),
-                    (1.0 - np.exp(-2j * np.pi * nn * a / k)) / (2j * np.pi * nn), 0.0)
-    c[nz] = 2.0 * k * cell
-    phase = np.exp(2j * np.pi * nu * (0.5 / n))
-    return ScalarField._adopt(grid, grid.irfft(c * n * phase))
+        """Exact int v'^2 over the circle.  v(x) = v_1(kx) / k^2, with v_1 the
+        one-strip potential, whose two interfaces 0 and a give the sum 8 Q(a);
+        the sum over all 2k interfaces would cancel to O(k^3) ulps."""
+        return (self.shape.a * (1.0 - self.shape.a)) ** 2 / 3.0 / self.shape.k**2
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_FIELD_GRID, TOLERANCES
-from .energy import _check_gamma, graph_energy, volume_corrected_perturbation
-from .shapes import (BoundaryMesh, GraphPerturbation, Lamella,
-                     periodic_derivative, rasterize)
-from .torus import (NumericalError, ScalarField, ValidationError,
-                    green2d_self_regularized, green_function_2d,
-                    green_kernel_screened, make_grid, solve_poisson_periodic,
-                    spectral_gradient, trig_interpolate)
+from .config import TOLERANCES
+from .energy import (_check_gamma, graph_energy, potential,
+                     volume_corrected_perturbation)
+from .shapes import BoundaryMesh, GraphPerturbation, Lamella, periodic_derivative
+from .torus import (NumericalError, ValidationError, green2d_self_regularized,
+                    green_function_2d, green_kernel_screened)
 
 _GREEN_CHUNK = 4096   # node pairs per green_function_2d call (~0.3 MB temporaries)
 
@@ -245,15 +243,9 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     _check_gamma(gamma)
     n = len(mesh.points)
     W = mesh.weights
-    # normal derivative of v, taken before the n x n blocks exist: exact on
-    # lamellae, where spectral differentiation would lose it at the kink
-    dnv = mesh.shape.dnv if isinstance(mesh.shape, Lamella) else None
-    if gamma > 0 and dnv is None:
-        g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
-        u = rasterize(mesh.shape, g).values
-        v = solve_poisson_periodic(ScalarField._adopt(g, u - u.mean()))
-        dnv = sum(trig_interpolate(c, mesh.points) * nu     # one component
-                  for c, nu in zip(spectral_gradient(v), mesh.normals.T))
+    # normal derivative of v, its grid freed before the n x n blocks exist:
+    # exact on lamellae, where spectral differentiation loses it at the kink
+    dnv = potential(mesh.shape).dnv_on_mesh(mesh) if gamma > 0 else None
     A = np.zeros((n, n))
 
     # Dirichlet + curvature blocks, per component

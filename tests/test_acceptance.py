@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from okstab.energy import (el_residual, energy, graph_energy,
-                           isoperimetric_compare, lamella_closed_form,
+from okstab.energy import (el_residual, graph_energy, isoperimetric_compare,
+                           lamella_closed_form, nonlocal_energy_field,
                            nonlocal_lipschitz_check, strip_disc_crossing,
                            volume_corrected_perturbation)
 from okstab.flow import (diffuse_energy, profile_constant, run_flow,
                          sharp_gamma_to_gamma0, tanh_profile)
 from okstab.shapes import (GraphPerturbation, Lamella, LamellaPotential,
-                           alpha_distance, boundary_mesh, lamella,
-                           lamella_source_field, rasterize)
+                           alpha_distance, boundary_mesh, lamella, rasterize)
 from okstab.stability import (assemble_boundary_form, finite_difference_check,
                               lamella_min_eigenvalue, lamella_mode_matrix,
                               stability_threshold_gamma, stability_threshold_k,
                               translation_form_value)
 from okstab.torus import (ScalarField, green_kernel_screened, laplacian,
                           make_grid, solve_poisson_periodic, trig_interpolate)
+from oracles import lamella_source_field
 
 GAMMA_C = 94.87206216585848   # frozen regression: m=0, k=1 threshold
 
@@ -69,8 +69,9 @@ def test_a1_spectral_solver_and_lamella_potential():
     a = sh.a
     dn_err = np.abs(pot.normal_derivative() + a * (1 - a)).max()
     en_err = abs(pot.dirichlet_energy() - a**2 * (1 - a) ** 2 / 3)
-    # numeric nonlocal energy at m=0 equals 1/48
-    num = energy(sh, 1.0, make_grid(1, (1024,))).nonlocal_term
+    # numeric nonlocal energy at m=0 equals 1/48: the spectral sum of the
+    # band-limited source on 1024 points
+    num = nonlocal_energy_field(lamella_source_field(sh, 1024))
     ok3 = dn_err <= 1e-14 and en_err <= 1e-14 and abs(num - 1 / 48) <= 1e-8
 
     _report("A1", ok1 and ok2 and ok3,

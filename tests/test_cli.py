@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from okstab.cli import build_parser, dispatch
-from okstab.energy import el_residual
+from okstab.energy import el_residual, energy
 from okstab.shapes import (Droplet, alpha_distance, boundary_mesh, lamella, rasterize,
                            save_shape)
 from okstab.torus import make_grid
@@ -192,11 +192,25 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["fd-check", "--gamma", "nan"], "gamma must"),
     (["criticality", "--shape", "lamella", "--gamma", "1", "--grid", "64"], "--grid"),
     (["criticality", "--shape", "droplet", "--gamma", "0", "--grid", "64"], "--grid"),
+    (["energy", "--shape", "droplet", "--grid", "0", "--gamma", "1"], "grid size 0"),
+    (["energy", "--shape", "lamella", "--radius", "0.3"], "--radius"),
+    (["criticality", "--shape", "lamella", "--center", "0.1,0.1"], "--center"),
+    (["energy", "--shape", "droplet", "--m", "0.5"], "--m"),
+    (["criticality", "--shape", "droplet", "--k", "2"], "--k"),
+    (["energy", "--shape", "lamella", "--grid", "64", "--gamma", "1"], "--grid"),
+    (["threshold", "--mode", "gamma", "--m", "0", "--gamma", "5"], "--gamma"),
+    (["threshold", "--mode", "k", "--m", "0", "--k", "2"], "--k"),
+    (["energy", "--shape", "droplet", "--center", "nan,0.5", "--gamma", "1"], "center"),
+    (["criticality", "--shape", "droplet", "--center", "inf,0.5", "--gamma", "1"],
+     "center"),
 ], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
         "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
         "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
         "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
-        "fd-check-gamma=nan", "criticality-lamella-grid", "criticality-gamma0-grid"])
+        "fd-check-gamma=nan", "criticality-lamella-grid", "criticality-gamma0-grid",
+        "energy-grid=0", "lamella-radius", "lamella-center", "droplet-m", "droplet-k",
+        "energy-lamella-grid", "threshold-gamma-mode-gamma", "threshold-k-mode-k",
+        "center=nan", "center=inf"])
 def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named):
     out = os.path.join(str(tmp_path), "out.csv")
     assert dispatch(argv + ["--out", out]) == 1
@@ -204,6 +218,18 @@ def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not os.path.exists(out)
+
+
+def test_droplet_energy_row_leaves_m_and_k_empty(tmp_path):
+    rc, out = _run(tmp_path, ["energy", "--shape", "droplet", "--gamma", "1",
+                              "--grid", "32"])
+    assert rc == 0
+    text = Path(out).read_text()
+    assert "# grid=32\n" in text and "# k=" not in text and "# m=" not in text
+    row = text.splitlines()[-1].split(",")
+    assert row[0] == row[2] == ""
+    want = energy(Droplet((0.5, 0.5), 0.25), 1.0, make_grid(2, (32, 32)))
+    assert float(row[4]) == want.nonlocal_term
 
 
 def test_criticality_grid_sets_the_raster(tmp_path):

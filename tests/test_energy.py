@@ -13,6 +13,7 @@ from okstab.shapes import (Droplet, GraphPerturbation, Lamella, boundary_mesh,
                            lamella, rasterize)
 from okstab.stability import lamella_mode_matrix
 from okstab.torus import ScalarField, ValidationError, make_grid
+from oracles import lamella_source_field
 
 
 def test_breakdown_additivity():
@@ -40,12 +41,31 @@ def test_closed_form():
 
 
 def test_energy_matches_closed_form_grid512():
-    g = make_grid(1, (512,))
+    # the spectral sum of the band-limited source, 512 modes
     for k in range(1, 6):
         for m in (-0.5, 0.0, 0.5):
-            br = energy(Lamella(k=k, m=m, axis=0, dim=1), 1.0, g)
+            sh = Lamella(k=k, m=m, axis=0, dim=1)
+            nl = nonlocal_energy_field(lamella_source_field(sh, 512))
             want = lamella_closed_form(k, m, 1.0)
-            assert abs(br.nonlocal_term - want.nonlocal_term) < 1e-6, (k, m)
+            assert abs(nl - want.nonlocal_term) < 1e-6, (k, m)
+
+
+@pytest.mark.parametrize("m", [-0.55, 0.0, 0.3])
+def test_lamella_energy_is_the_closed_form(m):
+    for k in range(1, 12):
+        for dim in (1, 2, 3):
+            got = energy(Lamella(k=k, m=m, dim=dim), 1.7)
+            want = lamella_closed_form(k, m, 1.7)
+            assert got.perimeter == want.perimeter
+            assert abs(got.nonlocal_term - want.nonlocal_term) <= 1e-14 * want.nonlocal_term
+            assert abs(got.total - want.total) <= 1e-14 * want.total
+
+
+def test_lamella_rejects_a_grid():
+    with pytest.raises(ValidationError, match="grid"):
+        energy(lamella(2, 0.3), 1.0, make_grid(2, (64, 64)))
+    with pytest.raises(ValidationError, match="grid"):
+        el_residual(boundary_mesh(lamella(2, 0.3), 64), 1.0, make_grid(2, (64, 64)))
 
 
 def test_strip_competition_monotonicity():

@@ -10,10 +10,10 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            alpha_distance, boundary_mesh,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, rasterize, recenter_translation,
-                           lamella_source_field, resample_periodic, save_shape,
-                           volume_fraction)
+                           resample_periodic, save_shape, volume_fraction)
 from okstab.torus import (ScalarField, ValidationError, circle_distance,
                           make_grid, solve_poisson_periodic, trig_interpolate)
+from oracles import lamella_source_field
 
 
 def test_lamella_interfaces():
@@ -35,6 +35,9 @@ def test_lamella_validation():
         lamella(1, 1.0)
     with pytest.raises(ValidationError):
         Droplet((0.5, 0.5), 0.6)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="center must be finite"):
+            Droplet((bad, 0.5), 0.2)
     with pytest.raises(ValidationError):
         DropletSet((Droplet((0.3, 0.3), 0.2), Droplet((0.4, 0.4), 0.2)))
 
@@ -81,6 +84,11 @@ def test_graph_collision_guard():
     base = lamella(1, 0.0)   # gap = 1/2
     with pytest.raises(ValidationError):
         GraphPerturbation(base, 0.3 * np.ones((2, 16)))
+    # NaN heights would pass the guard, a comparison that is False for NaN
+    psi = np.zeros((2, 16))
+    psi[1, 3] = np.nan
+    with pytest.raises(ValidationError, match="psi must be finite"):
+        GraphPerturbation(base, psi)
 
 
 @pytest.mark.parametrize("n0", [7, 8, 16])
