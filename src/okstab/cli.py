@@ -179,6 +179,10 @@ def cmd_fd_check(args):
 
 def cmd_flow(args):
     _require_at_least(args, stride=1, noise=0, stop_tol=0)
+    if args.noise == 0:
+        _use_options(args, ("seed",), "without --noise")
+    elif args.seed is None:
+        args.seed = 0
     grid = make_grid(2, (args.grid, args.grid))
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     u0 = tanh_profile(base, grid, args.epsilon)
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=500)
     sp.add_argument("--stop-tol", type=float, default=0.0)
     sp.add_argument("--noise", type=float, default=0.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="--noise > 0 only (default 0)")
     sp.add_argument("--stride", type=int, default=1)
     sp.set_defaults(func=cmd_flow)
 

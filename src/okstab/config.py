@@ -46,7 +46,7 @@ TOLERANCES = Tolerances()
 # grid defaults
 MIN_GRID_SIZE = 8
 DEFAULT_FIELD_GRID = 256      # per-axis raster of a grid potential in 1D and 2D
-DEFAULT_Q2_MODES = 2048       # vertical mode cutoff for the graph-shape nonlocal energy
+DEFAULT_Q2_MODES = 512        # vertical modes of the graph nonlocal remainder (tail ~Q^-5)
 
 
 def read_key_values(path: str) -> dict:

@@ -238,19 +238,21 @@ def strip_disc_crossing() -> float:
 # ---------------------------------------------------------------------------
 
 # q2 = lo + a + r (lo a multiple of _CHUNK_ROWS, a of _PHASE_BLOCK, r = 1..
-# _PHASE_BLOCK), so a phase is a product of three table entries.  The mode sum
-# runs one in-cache chunk (~0.5 MB) at a time, via a contiguous matmul buffer
+# _PHASE_BLOCK), so a phase is a product of three table entries, all powers of
+# z = e^{-2 pi i h}.  The mode sum runs one in-cache chunk (~0.5 MB) at a time,
+# which the interface matmul fills in place
 _PHASE_BLOCK = 32
 _CHUNK_ROWS = 256
 
 
-@functools.lru_cache(maxsize=4)     # 4 MB each at the default sizes
+@functools.lru_cache(maxsize=4)     # 1 MB each at the default sizes
 def _mode_weights(n_lat: int, q2_modes: int) -> np.ndarray:
-    """2 / ((pi q2)^2 n_lat^2 4 pi^2 |xi|^2) for q2 = 1..q2_modes and the
-    fft order of q1, each entry twice (real and imaginary part), read-only."""
+    """w - w0 for q2 = 1..q2_modes and the fft order of q1: the weight
+    w = 2 / ((pi q2 n_lat)^2 4 pi^2 |xi|^2) less its q1 = 0 value w0, each
+    entry twice (real and imaginary part), read-only."""
     q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
     q2 = np.arange(1, q2_modes + 1)[:, None]
-    w = 2.0 / ((np.pi * q2 * n_lat) ** 2 * 4.0 * np.pi**2 * (q1**2 + q2**2))
+    w = -2.0 * q1**2 / (4.0 * np.pi**4 * n_lat**2 * q2**4 * (q1**2 + q2**2))
     out = np.repeat(w, 2, axis=1)
     out.flags.writeable = False
     return out
@@ -262,9 +264,10 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
 
     The vertical Fourier coefficients of the indicator are exact in the
     heights; the lateral direction is resolved spectrally on n_lat nodes.
-    The vertical mode sum is truncated at q2_modes (tail ~ q2_modes^-3).
-    Unlike the rasterized pipeline this is differentiable in the heights,
-    which finite-difference energy checks require.
+    The q1 = 0 part of each vertical mode's weight is summed over all modes in
+    closed form, the rest up to q2_modes (tail ~ q2_modes^-5).  Unlike the
+    rasterized pipeline this is differentiable in the heights, which
+    finite-difference energy checks require.
     """
     if n_lat < 2:
         raise ValidationError(f"n_lat must be >= 2, got {n_lat}")
@@ -278,17 +281,24 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     total = float(np.sum(np.abs(c0) ** 2 / (4.0 * np.pi**2 * q1**2)))
 
     # q2 >= 1: sum over interfaces of -sgn e^{-2 pi i q2 h} (bottoms +, tops -);
-    # 1/(i pi q2), 1/n_lat and 1/(4 pi^2 |xi|^2) live in the weights
+    # 1/(i pi q2), 1/n_lat and 1/(4 pi^2 |xi|^2) live in the weights.  Their
+    # q1 = 0 part w0 over all q2 is -1/(6 n_lat) sum_x,i,j sgn_i sgn_j B4({h_i - h_j})
+    # (Parseval, DLMF 24.8.1), B4(t) = t^2 (1-t)^2 - 1/30; sum_i sgn_i = 0
+    # cancels the 1/30.  The rest, w - w0, is summed mode by mode
     _, sgn = gp.base.interfaces()
-    h = -2j * np.pi * hts.T                      # (n_lat, 2k)
-    a_tab = np.exp(h[:, None, :] * np.arange(0, _CHUNK_ROWS, _PHASE_BLOCK)[:, None]) * -sgn
-    r_tab = np.exp(h[:, :, None] * np.arange(1, _PHASE_BLOCK + 1))
-    prod = np.empty((n_lat, _CHUNK_ROWS // _PHASE_BLOCK, _PHASE_BLOCK), dtype=complex)
+    d = (hts[:, None] - hts[None]) % 1.0
+    total -= float(sgn @ (d * d * (1.0 - d) ** 2).sum(axis=2) @ sgn) / (6.0 * n_lat)
+    z = np.exp(-2j * np.pi * hts.T)              # (n_lat, 2k)
+    r_tab = np.cumprod(np.repeat(z[:, :, None], _PHASE_BLOCK, axis=2), axis=2)   # z^r
+    zb = r_tab[:, None, :, -1]                   # z^_PHASE_BLOCK, (n_lat, 1, 2k)
+    a_tab = np.cumprod(np.repeat(zb, _CHUNK_ROWS // _PHASE_BLOCK, axis=1), axis=1)
+    step, a_tab = a_tab[:, -1:], a_tab * (-sgn / zb)     # z^_CHUNK_ROWS; -sgn zb^a
     coef = np.empty((_CHUNK_ROWS, n_lat), dtype=complex)
+    rows_by_x = coef.reshape(-1, _PHASE_BLOCK, n_lat).transpose(2, 0, 1)
     for lo in range(0, q2_modes, _CHUNK_ROWS):
-        np.matmul(a_tab * np.exp(h * lo)[:, None], r_tab, out=prod)   # sum over interfaces
+        np.matmul(a_tab, r_tab, out=rows_by_x)   # sum over interfaces
+        a_tab *= step
         chunk = coef[:min(_CHUNK_ROWS, q2_modes - lo)]
-        chunk[...] = prod.reshape(n_lat, -1)[:, :len(chunk)].T
         spec = np.fft.fft(chunk, axis=1, out=chunk).view(np.float64)
         spec *= spec
         total += float(np.vdot(_mode_weights(n_lat, q2_modes)[lo:lo + len(chunk)], spec))

@@ -253,8 +253,8 @@ def volume_fraction(u: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 def perimeter_exact(shape: ShapeConfig) -> float:
-    """Exact (or spectrally converged, on 2048 lateral nodes) perimeter of a
-    parametric shape."""
+    """Exact (or spectrally converged, on 2048 lateral nodes or psi's own if
+    more) perimeter of a parametric shape."""
     if isinstance(shape, Lamella):
         return 2.0 * shape.k
     if isinstance(shape, Droplet):
@@ -264,7 +264,12 @@ def perimeter_exact(shape: ShapeConfig) -> float:
     if isinstance(shape, DropletSet):
         return sum(perimeter_exact(d) for d in shape.droplets)
     if isinstance(shape, GraphPerturbation):
-        dpsi = periodic_derivative(resample_periodic(shape.psi, 2048))
+        # psi' from one rfft of psi, zero-padded as resample_periodic pads it
+        n0, n = shape.psi.shape[1], max(2048, shape.psi.shape[1])
+        q = np.arange(n0 // 2 + 1) * (2j * np.pi * n / n0)
+        spec = np.fft.rfft(shape.psi, axis=1) * q
+        spec[:, -1] *= 1.0 if n0 % 2 else 0.5   # an even row's Nyquist cosine, split in two
+        dpsi = np.fft.irfft(spec, n=n, axis=1)
         return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())
     raise ValidationError(f"unknown shape {type(shape)}")
 
@@ -326,17 +331,17 @@ def _marching_squares_length(f: np.ndarray, grid: TorusGrid) -> float:
 def alpha_distance(uE: ScalarField, uF: ScalarField):
     """min over grid translations x of |E triangle (x+F)|, with its argmin.
 
-    Computed via FFT cross-correlation of the {0,1} indicators; counts are
-    rounded back to integers, so the result is exact for +-1 fields.  Ties
-    break toward the lexicographically smallest shift index.
+    The count of differing cells, (N - (uE * uF)(x)) / 2 for +-1 fields, comes
+    from their cached spectra and is rounded back to an integer, so the result
+    is exact.  Ties break toward the lexicographically smallest shift index.
     """
     if uE.grid != uF.grid:
         raise ValidationError("grid mismatch")
-    E = (uE.values > 0).astype(float)
-    F = (uF.values > 0).astype(float)
+    for name, u in (("uE", uE), ("uF", uF)):
+        if not np.all(np.abs(u.values) == 1.0):
+            raise ValidationError(f"{name} must be a +-1 indicator field")
     g = uE.grid
-    corr = g.irfft(g.rfft(E) * np.conj(g.rfft(F)))
-    counts = np.rint(E.sum() + F.sum() - 2.0 * corr)
+    counts = np.rint(0.5 * (g.num_cells - g.irfft(uE.spectrum * np.conj(uF.spectrum))))
     shift_idx = np.unravel_index(np.argmin(counts), counts.shape)
     shift = tuple(int(i) * s for i, s in zip(shift_idx, g.spacing))
     return float(counts[shift_idx]) * g.cell_volume, shift

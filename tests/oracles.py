@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from okstab.shapes import Lamella
+from okstab.shapes import (GraphPerturbation, Lamella, periodic_derivative,
+                           resample_periodic)
 from okstab.torus import ScalarField, make_grid
 
 
@@ -26,3 +27,10 @@ def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
     c[nz] = 2.0 * k * cell
     phase = np.exp(2j * np.pi * nu * (0.5 / n))
     return ScalarField._adopt(grid, grid.irfft(c * n * phase))
+
+
+def graph_perimeter_resampled(gp: GraphPerturbation) -> float:
+    """Perimeter of a graph perturbation with psi resampled to 2048 nodes and
+    differentiated there (two rfft/irfft pairs)."""
+    dpsi = periodic_derivative(resample_periodic(gp.psi, 2048))
+    return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())

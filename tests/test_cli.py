@@ -220,6 +220,26 @@ def test_bad_step_count_or_range_is_one_error_line(tmp_path, capsys, argv, named
     assert not os.path.exists(out)
 
 
+def test_flow_seed_only_with_noise(tmp_path, capsys):
+    # --seed without --noise is one error line naming it; with noise it
+    # defaults to 0 and is echoed, and a given seed reaches the noise
+    out = os.path.join(str(tmp_path), "out.csv")
+    assert dispatch(_FLOW + ["--seed", "7", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed has no use without --noise; drop it\n"
+    assert not os.path.exists(out)
+    rc, out = _run(tmp_path, _FLOW, "quiet.csv")
+    assert rc == 0 and "# seed=" not in Path(out).read_text()
+    texts = []
+    for seed in ([], ["--seed", "0"], ["--seed", "7"]):
+        rc, out = _run(tmp_path, _FLOW + ["--noise", "0.01"] + seed, f"{len(texts)}.csv")
+        assert rc == 0
+        texts.append(Path(out).read_text())
+    assert "# seed=0\n" in texts[0] and texts[0] == texts[1]
+    rows = [[l for l in t.splitlines() if not l.startswith("#")] for t in texts]
+    assert "# seed=7\n" in texts[2] and rows[2] != rows[0]
+
+
 def test_droplet_energy_row_leaves_m_and_k_empty(tmp_path):
     rc, out = _run(tmp_path, ["energy", "--shape", "droplet", "--gamma", "1",
                               "--grid", "32"])

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -217,45 +218,111 @@ def test_isoperimetric_3d():
 
 
 def test_graph_nonlocal_matches_closed_form_at_zero():
-    for (k, m) in [(1, 0.0), (2, 0.3)]:
+    for (k, m) in [(1, 0.0), (2, 0.3), (3, -0.4)]:
         gp = GraphPerturbation(lamella(k, m), np.zeros((2 * k, 32)))
         want = lamella_closed_form(k, m, 1.0).nonlocal_term
-        assert abs(graph_nonlocal_energy(gp) - want) < 1e-8
+        assert abs(graph_nonlocal_energy(gp) - want) < 1e-13 * want
 
 
-def _direct_graph_nonlocal(gp, n_lat, q2_modes):
-    """The graph nonlocal term with one np.exp per vertical mode and height."""
-    hts = gp.heights(n_lat)
-    b, t = hts[0::2], hts[1::2]
-    widths = (t - b) % 1.0
-    m_eff = 2.0 * float(widths.sum(axis=0).mean()) - 1.0
-    c0 = np.fft.fft(2.0 * widths.sum(axis=0) - 1.0 - m_eff) / n_lat
+def test_bernoulli4_is_the_cosine_series():
+    # the identity behind the closed-form part of graph_nonlocal_energy:
+    # sum_{q>=1} cos(2 pi q t) / q^4 = -(pi^4 / 3) B4(t) on [0, 1], with
+    # B4(t) = t^4 - 2t^3 + t^2 - 1/30; the partial sum to 10^5 terms is off
+    # by < 1 / (3 * 10^15)
+    t = np.linspace(0.0, 1.0, 41)
+    q = np.arange(100_000, 0, -1.0)          # smallest terms first
+    series = (np.cos(2.0 * np.pi * np.outer(t, q)) / q**4).sum(axis=1)
+    b4 = t**4 - 2.0 * t**3 + t**2 - 1.0 / 30.0
+    assert np.abs(-np.pi**4 / 3.0 * b4 - series).max() < 1e-14
+
+
+def _random_graph(k, m):
+    base = lamella(k, m)
+    rng = np.random.default_rng(10 * k + int(10 * m))
+    psi = rng.normal(size=(2 * k, 16))
+    return volume_corrected_perturbation(
+        base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
+
+
+def _lateral_row0(hts, n_lat):
+    """q2 = 0 term: the lateral variation of the strip widths."""
+    widths = (hts[1::2] - hts[0::2]) % 1.0
+    c0 = np.fft.fft(2.0 * widths.sum(axis=0)) / n_lat
     q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
-    nz = q1 != 0
-    total = float(np.sum(np.abs(c0[nz]) ** 2 / (4.0 * np.pi**2 * q1[nz] ** 2)))
-    q2 = np.arange(1, q2_modes + 1)[:, None, None]
-    coef = np.exp(-2j * np.pi * q2 * b[None]) - np.exp(-2j * np.pi * q2 * t[None])
-    coef = coef.sum(axis=1) / (1j * np.pi * q2[:, 0, :])
-    c = np.fft.fft(coef, axis=1) / n_lat
-    denom = 4.0 * np.pi**2 * (q1[None, :] ** 2 + q2[:, 0, :] ** 2)
-    return total + 2.0 * float(np.sum(np.abs(c) ** 2 / denom))
+    return float(np.sum(np.abs(c0[1:]) ** 2 / (4.0 * np.pi**2 * q1[1:] ** 2)))
+
+
+@functools.cache
+def _direct_graph_nonlocal(k, m, n_lat, q2_modes):
+    """The graph nonlocal term summed mode by mode with the full weight
+    1 / (4 pi^2 |xi|^2), in blocks of vertical modes; returns the partial
+    sums at each block's end.  Phases are exps of q2 h, tabled once per
+    block offset."""
+    hts = _random_graph(k, m).heights(n_lat)
+    sgn = np.where(np.arange(2 * k) % 2 == 0, 1.0, -1.0)[:, None]
+    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
+    total = _lateral_row0(hts, n_lat)
+    block = 512
+    offsets = np.exp(-2j * np.pi * np.arange(block)[:, None, None] * hts)
+    partial = {}
+    for lo in range(1, q2_modes + 1, block):
+        q2 = np.arange(lo, lo + block)[:, None]
+        coef = np.einsum("rix,ix->rx", offsets, sgn * np.exp(-2j * np.pi * lo * hts))
+        c = np.fft.fft(coef, axis=1) / n_lat             # times 1/(i pi q2) below
+        total += 2.0 * float(np.sum((c.real**2 + c.imag**2) / (np.pi * q2) ** 2
+                                    / (4.0 * np.pi**2 * (q1**2 + q2**2))))
+        partial[lo + block - 1] = total
+    return partial
+
+
+def _direct_split_formula(gp, n_lat, q2_max):
+    """The split formula term by term: the q2 = 0 row, the q1 = 0 weight over
+    all q2 as the B4 double sum over interfaces, and the remainder weight
+    w - w0 with one np.exp per vertical mode and height; the total after
+    each q2 = 1..q2_max."""
+    hts = gp.heights(n_lat)
+    sgn = np.where(np.arange(len(hts)) % 2 == 0, 1.0, -1.0)
+    b4 = sum(sgn[i] * sgn[j] * (d**4 - 2.0 * d**3 + d**2 - 1.0 / 30.0).sum()
+             for i in range(len(hts)) for j in range(len(hts))
+             for d in [(hts[i] - hts[j]) % 1.0])
+    closed = -float(b4) / (6.0 * n_lat)
+    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
+    q2 = np.arange(1, q2_max + 1)[:, None]
+    a = (sgn[:, None] * np.exp(-2j * np.pi * q2[:, :, None] * hts[None])).sum(axis=1)
+    c = np.fft.fft(a, axis=1) / n_lat
+    rest = 2.0 / (np.pi * q2) ** 2 * (1.0 / (4.0 * np.pi**2 * (q1**2 + q2**2))
+                                      - 1.0 / (4.0 * np.pi**2 * q2**2))
+    rows = (np.abs(c) ** 2 * rest).sum(axis=1)
+    return _lateral_row0(hts, n_lat) + closed + np.cumsum(rows)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("m", [-0.3, 0.0, 0.2])
 def test_graph_nonlocal_matches_direct_formula(k, m):
-    base = lamella(k, m)
-    rng = np.random.default_rng(10 * k + int(10 * m))
-    psi = rng.normal(size=(2 * k, 16))
-    gp = volume_corrected_perturbation(
-        base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
-    # the mode sum runs in chunks of _CHUNK_ROWS = 256 rows: cut below, at
-    # and above one chunk, one mode short of the default and past it
-    for q2_modes in (1, 31, 100, 255, 256, 257, 2047, 2048, 2300):
-        for n_lat in (64, 127, 128):
-            want = _direct_graph_nonlocal(gp, n_lat, q2_modes)
+    gp = _random_graph(k, m)
+    # against 2^16 modes of the unsplit sum: at the default cutoff no worse
+    # than the former 2048-mode truncation; each k meets each n_lat once
+    n_lat = {-0.3: 64, 0.0: 127, 0.2: 128}[m]
+    partial = _direct_graph_nonlocal(k, m, n_lat, 2**16)
+    want = partial[2**16]
+    assert abs(graph_nonlocal_energy(gp, n_lat) - want) <= abs(partial[2048] - want)
+    # the remainder runs in chunks of _CHUNK_ROWS = 256 rows: cut below, at
+    # and above one and two chunks; n_lat = 1024 makes its rows large
+    for n_lat in (64, 127, 128, 1024):
+        split = _direct_split_formula(gp, n_lat, 513)
+        for q2_modes in (1, 255, 256, 257, 511, 512, 513):
             got = graph_nonlocal_energy(gp, n_lat, q2_modes)
-            assert abs(got - want) <= 1e-13 * want, (q2_modes, n_lat)
+            assert abs(got - split[q2_modes - 1]) <= 1e-13 * got, (q2_modes, n_lat)
+
+
+def test_graph_nonlocal_error_falls_with_the_fifth_power_of_the_cutoff():
+    # the remainder weight is ~q2^-6, so doubling q2_modes cuts the error
+    # ~32x; at least 16x is asked for
+    k, m, n_lat = 2, 0.0, 127
+    want = _direct_graph_nonlocal(k, m, n_lat, 2**16)[2**16]
+    errs = [abs(graph_nonlocal_energy(_random_graph(k, m), n_lat, q) - want)
+            for q in (128, 256, 512, 1024)]
+    assert all(a >= 16.0 * b for a, b in zip(errs, errs[1:])), errs
 
 
 def test_graph_mode_weights_cached_read_only():
@@ -271,7 +338,8 @@ def test_graph_mode_weights_cached_read_only():
 
 
 def test_graph_nonlocal_allocates_one_chunk_not_the_mode_table():
-    # a (q2_modes, n_lat) complex table at the default sizes is 4 MB
+    # at the default sizes a (q2_modes, 2k, n_lat) complex phase table is
+    # 2 MB, the weight table 1 MB (cached, so warmed first)
     base = lamella(1, 0.0)
     psi = np.random.default_rng(5).normal(size=(2, 16))
     gp = volume_corrected_perturbation(

@@ -13,7 +13,7 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            resample_periodic, save_shape, volume_fraction)
 from okstab.torus import (ScalarField, ValidationError, circle_distance,
                           make_grid, solve_poisson_periodic, trig_interpolate)
-from oracles import lamella_source_field
+from oracles import graph_perimeter_resampled, lamella_source_field
 
 
 def test_lamella_interfaces():
@@ -137,6 +137,19 @@ def test_perimeter_exact():
     assert abs(got - (1.0 + want)) < 1e-10
 
 
+@pytest.mark.parametrize("n0", [15, 16, 64, 2047, 2048])
+def test_graph_perimeter_matches_resample_then_differentiate(n0):
+    # one rfft of psi, one irfft to 2048 nodes: the same perimeter as
+    # resampling psi to 2048 nodes and differentiating there
+    rng = np.random.default_rng(n0)
+    for k in (1, 3):
+        psi = rng.normal(size=(2 * k, n0))
+        base = lamella(k, 0.2)
+        gp = GraphPerturbation(base, 0.3 * base.interface_gap * psi / np.abs(psi).max())
+        want = graph_perimeter_resampled(gp)
+        assert abs(perimeter_exact(gp) - want) <= 1e-15 * want, (n0, k)
+
+
 def test_perimeter_grid():
     g = make_grid(2, (256, 256))
     u = rasterize(lamella(1, 0.0), g)
@@ -252,6 +265,36 @@ def test_alpha_tie_breaks_to_smallest_shift():
     ties = sorted(zip(*np.nonzero(counts == counts.min())))
     assert len(ties) == 32
     assert val == 0.0 and shift == tuple(int(i) * h for i, h in zip(ties[0], g.spacing))
+
+
+def test_alpha_rejects_fields_that_are_not_plus_minus_one():
+    g = make_grid(2, (16, 16))
+    u = rasterize(Droplet((0.5, 0.5), 0.2), g)
+    soft = ScalarField(g, 0.5 * u.values)
+    with pytest.raises(ValidationError, match="uE"):
+        alpha_distance(soft, u)
+    with pytest.raises(ValidationError, match="uF"):
+        alpha_distance(u, ScalarField(g, np.where(u.values > 0, 1.0, 0.0)))
+
+
+def test_alpha_matches_the_indicator_correlation():
+    # counts from the +-1 spectra equal those of the {0,1} indicators'
+    # cross-correlation, value and shift alike, on perturbed lamellae at 128^2
+    g = make_grid(2, (128, 128))
+    base = lamella(1, 0.0)
+    ref = rasterize(base, g)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        psi = rng.normal(size=(2, 16))
+        gp = GraphPerturbation(base, 0.3 * base.interface_gap * psi / np.abs(psi).max())
+        u = rasterize(gp, g)
+        e, f = (u.values > 0).astype(float), (ref.values > 0).astype(float)
+        corr = np.fft.irfft2(np.fft.rfft2(e) * np.conj(np.fft.rfft2(f)), s=g.sizes)
+        counts = np.rint(e.sum() + f.sum() - 2.0 * corr)
+        idx = np.unravel_index(np.argmin(counts), counts.shape)
+        want = (float(counts[idx]) * g.cell_volume,
+                tuple(int(i) * h for i, h in zip(idx, g.spacing)))
+        assert alpha_distance(u, ref) == want
 
 
 def test_alpha_pseudometric():
