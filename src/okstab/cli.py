@@ -165,9 +165,13 @@ def _random_heights(rng, n_rows, n_nodes, n_modes, amp):
 def cmd_fd_check(args):
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     n = 64
+    for name, low, high in (("interface", 0, 2 * base.k - 1), ("q", 1, n // 2)):
+        if not low <= vars(args)[name] <= high:
+            raise ValidationError(f"--{name} must lie in {low}..{high}, "
+                                  f"got {vars(args)[name]}")
     x = np.arange(n) / n
     psi = np.zeros((2 * base.k, n))
-    psi[args.interface % (2 * base.k)] = np.cos(2 * np.pi * args.q * x)
+    psi[args.interface] = np.cos(2 * np.pi * args.q * x)
     rep = finite_difference_check(base, psi, args.gamma,
                                   t_list=(args.t, args.t / 2))
     rows = [(t, d2) for t, d2 in zip(rep.t_values, rep.second_differences)]

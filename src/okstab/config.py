@@ -26,9 +26,6 @@ class Tolerances:
     # spectral Poisson solvers
     mean_zero: float = 1e-10          # allowed |mean(f)| relative to max(1, sup|f|)
 
-    # Green kernels
-    kernel_tail: float = 1e-12        # truncation bound for the lateral mode sum
-
     # geometry
     normal_unit: float = 1e-12
     graph_collision_factor: float = 0.45   # max|psi| < factor * interface gap

@@ -221,16 +221,9 @@ def isoperimetric_compare(m: float, dim: int):
 
 
 def strip_disc_crossing() -> float:
-    """|m| at which the strip and disc perimeters coincide in T^2."""
-    def diff(m):
-        rows, _ = isoperimetric_compare(m, 2)
-        per = {r["name"]: r["perimeter"] for r in rows}
-        return per["disc"] - per["strip"]
-    lo, hi = 0.0, 0.99          # the disc is longer at lo, shorter at hi
-    for _ in range(60):         # 0.99 / 2^60 is below the spacing of doubles
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if diff(mid) > 0 else (lo, mid)
-    return 0.5 * (lo + hi)
+    """|m| at which the strip and disc perimeters coincide in T^2: the disc's
+    2 sqrt(pi a) equals the strip's 2 at a = (1 - |m|)/2 = 1/pi."""
+    return 1.0 - 2.0 / math.pi
 
 
 # ---------------------------------------------------------------------------

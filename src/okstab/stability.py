@@ -61,7 +61,7 @@ def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMa
     pos, _ = shape.interfaces()
     K = green_kernel_screened(q, pos[:, None] - pos[None, :])
     A = 8.0 * K + 4.0 * shape.dnv * np.eye(2 * k)
-    M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * (0.5 * (A + A.T))
+    M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * A
     return LamellaModeMatrix(q, M, K, shape.dnv)
 
 

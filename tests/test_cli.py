@@ -190,6 +190,11 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["energy", "--shape", "lamella", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "inf"], "gamma must"),
     (["fd-check", "--gamma", "nan"], "gamma must"),
+    (["fd-check", "--gamma", "1", "--interface", "5"], "--interface must lie in 0..1"),
+    (["fd-check", "--gamma", "1", "--interface", "-1"], "--interface must lie in 0..1"),
+    (["fd-check", "--gamma", "1", "--q", "40"], "--q must lie in 1..32"),
+    (["fd-check", "--gamma", "1", "--q", "0"], "--q must lie in 1..32"),
+    (["fd-check", "--gamma", "1", "--q", "-1"], "--q must lie in 1..32"),
     (["criticality", "--shape", "lamella", "--gamma", "1", "--grid", "64"], "--grid"),
     (["criticality", "--shape", "droplet", "--gamma", "0", "--grid", "64"], "--grid"),
     (["energy", "--shape", "droplet", "--grid", "0", "--gamma", "1"], "grid size 0"),
@@ -207,7 +212,9 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
         "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
         "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
         "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
-        "fd-check-gamma=nan", "criticality-lamella-grid", "criticality-gamma0-grid",
+        "fd-check-gamma=nan", "fd-check-interface=5", "fd-check-interface<0",
+        "fd-check-q=40", "fd-check-q=0", "fd-check-q<0", "criticality-lamella-grid",
+        "criticality-gamma0-grid",
         "energy-grid=0", "lamella-radius", "lamella-center", "droplet-m", "droplet-k",
         "energy-lamella-grid", "threshold-gamma-mode-gamma", "threshold-k-mode-k",
         "center=nan", "center=inf"])

@@ -191,9 +191,18 @@ def test_energy_of_indicator_field():
     assert br.total == br.perimeter + 2.5 * br.nonlocal_term
 
 
+def _strip_minus_disc(m):
+    rows, _ = isoperimetric_compare(m, 2)
+    per = {r["name"]: r["perimeter"] for r in rows}
+    return per["strip"] - per["disc"]
+
+
 def test_isoperimetric_2d():
     crossing = strip_disc_crossing()
-    assert abs(crossing - (1 - 2 / np.pi)) < 1e-12
+    for sign in (1, -1):
+        assert abs(_strip_minus_disc(sign * crossing)) <= 1e-15
+        assert _strip_minus_disc(sign * (crossing - 1e-6)) < 0    # the disc is longer
+        assert _strip_minus_disc(sign * (crossing + 1e-6)) > 0    # the disc is shorter
     rows, best = isoperimetric_compare(0.0, 2)
     per = {r["name"]: r["perimeter"] for r in rows}
     assert per["strip"] == 2.0

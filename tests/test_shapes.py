@@ -11,9 +11,9 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, rasterize, recenter_translation,
                            resample_periodic, save_shape, volume_fraction)
-from okstab.torus import (ScalarField, ValidationError, circle_distance,
-                          make_grid, solve_poisson_periodic, trig_interpolate)
-from oracles import graph_perimeter_resampled, lamella_source_field
+from okstab.torus import (ScalarField, ValidationError, make_grid,
+                          solve_poisson_periodic, trig_interpolate)
+from oracles import circle_distance, graph_perimeter_resampled, lamella_source_field
 
 
 def test_lamella_interfaces():

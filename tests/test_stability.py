@@ -36,6 +36,16 @@ def test_mode_matrix_ingredients():
     assert np.ptp(diag) < 1e-15
 
 
+def test_mode_matrix_rejects_a_kernel_that_is_not_even(monkeypatch):
+    # M(q) is not symmetrized: the symmetry check guards the kernel's evenness
+    from okstab import stability
+    even = stability.green_kernel_screened
+    monkeypatch.setattr(stability, "green_kernel_screened",
+                        lambda q, s: even(q, s) + 1e-6 * np.asarray(s))
+    with pytest.raises(NumericalError, match="lost symmetry"):
+        lamella_mode_matrix(2, 0.1, 1.0, 3)
+
+
 def test_translation_nullity_exact():
     for (k, m, g) in [(1, 0.0, 5.0), (2, 0.3, 17.0), (3, -0.4, 120.0)]:
         mm = lamella_mode_matrix(k, m, g, 0)

@@ -1,14 +1,17 @@
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
+from okstab import torus
 from okstab.torus import (ScalarField, ValidationError, dirichlet_energy,
                           green2d_self_regularized, green_function_2d,
                           green_kernel_screened, laplacian, load_field,
                           make_grid, save_field, solve_poisson_periodic,
                           spectral_gradient, trig_interpolate)
+from oracles import green2d_screened, green2d_screened_self_regularized
 
 
 def test_grid_basics():
@@ -182,8 +185,11 @@ def test_field_owns_its_values():
 
 
 def test_green2d_coincident_rejected():
-    with pytest.raises(ValidationError, match="coincident points"):
-        green_function_2d(np.array([0.2, 0.2]), np.array([0.2, 0.2]))
+    # a zero minimum-image separation, also across periods
+    for x, y in [([0.2, 0.2], [0.2, 0.2]), ([0.25, 0.5], [1.25, -0.5]),
+                 ([[0.1, 0.3], [0.75, 0.125]], [[0.5, 0.5], [-2.25, 3.125]])]:
+        with pytest.raises(ValidationError, match="coincident points"):
+            green_function_2d(np.array(x), np.array(y))
 
 
 @pytest.mark.parametrize("x, y", [
@@ -203,6 +209,59 @@ def test_green2d_regularized_diagonal():
         y = x + np.array([r, 0.0])
         val = green_function_2d(x, y) + np.log(r) / (2 * np.pi)
         assert abs(val - c) < 10 * r
+    # at exact dyadic offsets G + log r/(2pi) - H0 - r^2/4 is the series'
+    # c_1 r^4 <= 1.2e-13: nothing may cancel, down to 2^-40
+    x = np.array([0.3125, 0.625])
+    for p in (10, 14, 17, 20, 24, 27, 30, 40):
+        r = 2.0**-p
+        for e in np.eye(2):
+            val = green_function_2d(x, x + r * e) + np.log(r) / (2 * np.pi)
+            assert abs(val - c - r * r / 4) <= 2e-13, (p, e)
+
+
+def test_green2d_matches_screened_lateral_sum():
+    rng = np.random.default_rng(19)
+    x, y = rng.random((2, 10_000, 2))
+    d = x - y
+    d -= np.round(d)
+    keep = np.hypot(d[:, 0], d[:, 1]) >= 0.05    # the oracle cancels nearer in
+    assert keep.sum() > 9_000
+    assert np.abs(green_function_2d(x[keep], y[keep])
+                  - green2d_screened(x[keep], y[keep])).max() <= 1e-15
+    assert abs(green2d_self_regularized() - green2d_screened_self_regularized()) <= 1e-16
+
+
+def test_green2d_series_coefficients_match_a_fit_of_the_oracle():
+    # on |z| = r the oracle minus its log, |z|^2/4 and H0 is
+    # sum_j c_j r^{4j} cos(4 j theta); the fit's own rounding (~1e-18 per
+    # Fourier mode) sets the bars
+    n, r = 4096, 0.45
+    th = 2 * np.pi * np.arange(n) / n
+    z = r * np.stack([np.cos(th), np.sin(th)], axis=1)
+    rest = (green2d_screened(z, 0.0 * z) + np.log(np.hypot(z[:, 0], z[:, 1])) / (2 * np.pi)
+            - (z * z).sum(axis=1) / 4 - green2d_screened_self_regularized())
+    j = np.arange(1, 5)
+    fit = 2 * np.fft.rfft(rest)[4 * j].real / (n * r ** (4 * j))
+    want = np.array(torus._square_lattice_eisenstein(4)) / (8 * np.pi * j)
+    assert np.all(np.abs(fit / want - 1) <= [1e-15, 1e-14, 2e-13, 8e-12])
+    assert np.array_equal(torus._GREEN2D_SERIES[::-1][:4], want)
+
+
+def test_square_lattice_eisenstein_series_tend_to_four():
+    # G_4j = sum' w^-4j -> 4 from the four nearest lattice points w = +-1, +-i
+    g = torus._square_lattice_eisenstein(30)
+    assert abs(g[0] - 3.15121200215389753822) <= 5e-16    # Gamma(1/4)^8/(960 pi^2)
+    assert abs(g[0] - math.gamma(0.25) ** 8 / (960 * math.pi**2)) <= 4e-15
+    assert abs(g[-1] - 4) < 1e-12
+    # G_8 = 3 G_4^2/7 from the first step of the recursion
+    assert abs(g[1] - 3 * g[0] ** 2 / 7) <= 1e-15
+    # the lattice sums themselves, over the disc |w| <= 80
+    w = np.arange(-80, 81)
+    w = (w[:, None] + 1j * w[None, :]).ravel()
+    w = w[(w != 0) & (np.abs(w) <= 80)]
+    assert abs(np.sum(w ** -4.0).real - g[0]) < 2e-6
+    for j in (2, 3):
+        assert abs(np.sum(w ** (-4.0 * j)).real - g[j - 1]) < 1e-14
 
 
 def test_trig_interpolation_reproduces_nodes():
