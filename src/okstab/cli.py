@@ -138,7 +138,10 @@ def cmd_perturb_test(args):
     for trial in range(args.trials):
         psi = _random_heights(rng, 2 * base.k, n_nodes, args.modes,
                               args.amplitude * base.interface_gap)
-        gp = volume_corrected_perturbation(base, psi)
+        try:
+            gp = volume_corrected_perturbation(base, psi)
+        except ValidationError as exc:
+            raise ValidationError(f"--amplitude {args.amplitude}: {exc}") from None
         jf = graph_energy(gp, args.gamma).total
         a, _ = alpha_distance(rasterize(gp, grid), u_base)
         ratio = (jf - j0) / a**2 if a > 0 else float("inf")
@@ -169,9 +172,16 @@ def cmd_fd_check(args):
         if not low <= vars(args)[name] <= high:
             raise ValidationError(f"--{name} must lie in {low}..{high}, "
                                   f"got {vars(args)[name]}")
+    if not 0 < args.t < np.inf:
+        raise ValidationError(f"--t must be > 0 and finite, got {args.t}")
     x = np.arange(n) / n
     psi = np.zeros((2 * base.k, n))
     psi[args.interface] = np.cos(2 * np.pi * args.q * x)
+    try:    # the heights are affine in t, so steps +-t cover +-t/2
+        for t in (args.t, -args.t):
+            volume_corrected_perturbation(base, t * psi)
+    except ValidationError as exc:
+        raise ValidationError(f"--t {args.t}: {exc}") from None
     rep = finite_difference_check(base, psi, args.gamma,
                                   t_list=(args.t, args.t / 2))
     rows = [(t, d2) for t, d2 in zip(rep.t_values, rep.second_differences)]

@@ -111,8 +111,9 @@ class GraphPerturbation:
     """Lamella with per-interface height functions psi on the lateral circle.
 
     psi: array (2k, n) of heights sampled at lateral nodes j/n; interface j
-    moves from s_j to s_j + psi_j(x).  Heights must keep the interfaces
-    ordered: max|psi| < 0.45 * interface gap.
+    moves from s_j to s_j + psi_j(x), psi_j the trig interpolant of its row.
+    The samples must keep max|psi| < 0.45 * interface gap, and the
+    interpolants the interfaces ordered (checked on max(256, 4n) points).
     """
     base: Lamella
     psi: np.ndarray = field(repr=False)
@@ -130,6 +131,11 @@ class GraphPerturbation:
         if np.abs(psi).max() >= guard:
             raise ValidationError(
                 f"perturbation too large: max|psi|={np.abs(psi).max():.3g} >= {guard:.3g}")
+        # the guard bounds the samples only: the interpolant can overshoot them
+        hts = self.heights(max(256, 4 * psi.shape[1]))
+        gap = np.diff(np.vstack([hts, hts[:1] + 1.0]), axis=0).min()
+        if gap <= 0.0:
+            raise ValidationError(f"interpolated interfaces collide: least gap {gap:.3g}")
 
     @property
     def dim(self):
@@ -138,7 +144,7 @@ class GraphPerturbation:
     def heights(self, n: int) -> np.ndarray:
         """Interface heights (2k, n) resampled to n lateral nodes."""
         pos, _ = self.base.interfaces()
-        return pos[:, None] + resample_periodic(self.psi, n)
+        return pos[:, None] + periodic_samples(self.psi, n)
 
 
 ShapeConfig = Lamella | Droplet | DropletSet | GraphPerturbation
@@ -154,31 +160,24 @@ def _torus_dist(x, y):
     return float(np.sqrt(np.sum(d * d)))
 
 
-def resample_periodic(rows: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric interpolant of periodic rows (node samples at j/n0)
-    evaluated at the n nodes j/n.  For n > n0 the half spectrum is
-    zero-padded, with the Nyquist cosine of an even n0 split in two."""
+def periodic_samples(rows: np.ndarray, n: int, order: int = 0,
+                     offset: float = 0.0) -> np.ndarray:
+    """Order-th derivative of the trigonometric interpolant of periodic rows
+    (node samples at j/n0) at the n points (j + offset)/n: one rfft, times
+    (2 pi i q)^order e^{2 pi i q offset/n}, one irfft to n points.  An even
+    n0's Nyquist cosine is split in two where it is an interior mode (n > n0);
+    at n = n0 the irfft keeps the real part of its bin, the cosine's value and
+    derivatives.  For n < n0, every r-th of n r points, r = ceil(n0/n)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n0 = rows.shape[1]
-    if n == n0:
-        return rows.copy()
     if n < n0:
-        return _eval_periodic_rows(rows, np.arange(n) / n)
-    spec = np.fft.rfft(rows, axis=1)
-    if n0 % 2 == 0:
+        r = -(-n0 // n)
+        return periodic_samples(rows, n * r, order, offset * r)[:, ::r]
+    w = 2j * np.pi * np.arange(n0 // 2 + 1)
+    spec = np.fft.rfft(rows, axis=1) * (w**order * np.exp(w * (offset / n)))
+    if n > n0 and n0 % 2 == 0:
         spec[:, -1] *= 0.5
     return np.fft.irfft(spec, n=n, axis=1) * (n / n0)
-
-
-def periodic_derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of periodic node-sampled rows."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(rows, axis=1) * (2j * np.pi * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        spec[:, -1] = 0.0  # Nyquist mode has no odd derivative
-    return np.fft.irfft(spec, n=n, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +219,11 @@ def _droplet_mask(d: Droplet, grid: TorusGrid):
 def _graph_mask(gp: GraphPerturbation, grid: TorusGrid):
     ax = gp.base.axis
     lat = 1 - ax  # lateral axis in 2D
-    # heights at the lateral cell centers (offset by half a cell from nodes)
-    pos, _ = gp.base.interfaces()
-    hts = pos[:, None] + _eval_periodic_rows(gp.psi, grid.axis_coords(lat))
+    pos, _ = gp.base.interfaces()     # heights at the lateral cell centres
+    hts = pos[:, None] + periodic_samples(gp.psi, grid.sizes[lat], offset=0.5)
     b, t = hts[0::2, :, None], hts[1::2, :, None]     # (k, n_lat, 1)
     inside = ((grid.axis_coords(ax) - b) % 1.0 < (t - b) % 1.0).any(axis=0)
     return inside if ax == 1 else inside.T
-
-
-def _eval_periodic_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the trig interpolant of node-sampled rows at points x.
-
-    Interior modes of the rfft half spectrum count twice, the zero mode and
-    the Nyquist mode of an even row length once: the Nyquist mode enters as
-    the cosine through its samples.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    q = np.arange(n // 2 + 1)
-    weight = np.where((q == 0) | (2 * q == n), 1.0, 2.0) / n
-    spec = np.fft.rfft(rows, axis=1) * weight
-    return np.real(spec @ np.exp(2j * np.pi * np.outer(q, x)))
 
 
 def volume_fraction(u: ScalarField) -> float:
@@ -264,12 +247,7 @@ def perimeter_exact(shape: ShapeConfig) -> float:
     if isinstance(shape, DropletSet):
         return sum(perimeter_exact(d) for d in shape.droplets)
     if isinstance(shape, GraphPerturbation):
-        # psi' from one rfft of psi, zero-padded as resample_periodic pads it
-        n0, n = shape.psi.shape[1], max(2048, shape.psi.shape[1])
-        q = np.arange(n0 // 2 + 1) * (2j * np.pi * n / n0)
-        spec = np.fft.rfft(shape.psi, axis=1) * q
-        spec[:, -1] *= 1.0 if n0 % 2 else 0.5   # an even row's Nyquist cosine, split in two
-        dpsi = np.fft.irfft(spec, n=n, axis=1)
+        dpsi = periodic_samples(shape.psi, max(2048, shape.psi.shape[1]), 1)
         return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())
     raise ValidationError(f"unknown shape {type(shape)}")
 
@@ -406,14 +384,12 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
         parts = [((np.asarray(shape.center) + r * nrm) % 1.0, nrm,
                   np.full(n_points, 1.0 / r), np.full(n_points, 2.0 * np.pi * r))]
     elif isinstance(shape, GraphPerturbation):
-        _check_no_collision(shape)
         pos, sgn = shape.base.interfaces()
-        psi = resample_periodic(shape.psi, n_points)
-        dpsi = periodic_derivative(psi)
+        psi, dpsi, d2psi = (periodic_samples(shape.psi, n_points, d) for d in range(3))
         root = np.sqrt(1.0 + dpsi**2)
         # H = div_tau(nu) = -sg * h'' / (1 + h'^2)^{3/2} for the outward
         # normal (checks out against +1/r on a circle)
-        kap = -sgn[:, None] * periodic_derivative(psi, order=2) / root**3
+        kap = -sgn[:, None] * d2psi / root**3
         parts = [(along(np.stack([t, (s0 + psi[j]) % 1.0], axis=1), shape.base.axis),
                   along(np.stack([-dpsi[j], np.ones(n_points)], axis=1)
                         * (sg / root[j])[:, None], shape.base.axis),
@@ -424,13 +400,6 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
     return BoundaryMesh(points, normals, curvature, speeds / n_points,
                         [(i * n_points, (i + 1) * n_points) for i in range(len(parts))],
                         speeds, shape)
-
-
-def _check_no_collision(gp: GraphPerturbation):
-    hts = gp.heights(max(256, gp.psi.shape[1]))
-    diffs = (np.roll(hts, -1, axis=0) - hts) % 1.0
-    if diffs.min() <= 0:
-        raise ValidationError("perturbed interfaces collide")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .config import TOLERANCES
 from .energy import (_check_gamma, graph_energy, potential,
                      volume_corrected_perturbation)
-from .shapes import BoundaryMesh, GraphPerturbation, Lamella, periodic_derivative
+from .shapes import BoundaryMesh, GraphPerturbation, Lamella, periodic_samples
 from .torus import (NumericalError, ValidationError, green2d_self_regularized,
                     green_function_2d, green_kernel_screened)
 
@@ -252,7 +252,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
-        Dtau = periodic_derivative(np.eye(nc)) / mesh.speeds[i0:i1][:, None]
+        Dtau = periodic_samples(np.eye(nc), nc, 1) / mesh.speeds[i0:i1][:, None]
         block = (Dtau.T * W[i0:i1]) @ Dtau
         if nc % 2 == 0:
             # the odd spectral derivative annihilates the Nyquist sawtooth;

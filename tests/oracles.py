@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from okstab.shapes import (GraphPerturbation, Lamella, periodic_derivative,
-                           resample_periodic)
+from okstab.shapes import GraphPerturbation, Lamella
 from okstab.torus import ScalarField, green_kernel_screened, make_grid
 
 
@@ -27,6 +26,31 @@ def lamella_source_field(shape: Lamella, n: int) -> ScalarField:
     c[nz] = 2.0 * k * cell
     phase = np.exp(2j * np.pi * nu * (0.5 / n))
     return ScalarField._adopt(grid, grid.irfft(c * n * phase))
+
+
+def resample_periodic(rows: np.ndarray, n: int) -> np.ndarray:
+    """Trigonometric interpolant of periodic rows (node samples at j/n0)
+    evaluated at the n >= n0 nodes j/n.  For n > n0 the half spectrum is
+    zero-padded, with the Nyquist cosine of an even n0 split in two."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n0 = rows.shape[1]
+    if n == n0:
+        return rows.copy()
+    spec = np.fft.rfft(rows, axis=1)
+    if n0 % 2 == 0:
+        spec[:, -1] *= 0.5
+    return np.fft.irfft(spec, n=n, axis=1) * (n / n0)
+
+
+def periodic_derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral derivative of periodic node-sampled rows."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n = rows.shape[1]
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    spec = np.fft.rfft(rows, axis=1) * (2j * np.pi * k) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        spec[:, -1] = 0.0  # Nyquist mode has no odd derivative
+    return np.fft.irfft(spec, n=n, axis=1)
 
 
 def graph_perimeter_resampled(gp: GraphPerturbation) -> float:

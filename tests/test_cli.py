@@ -186,6 +186,8 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (_PERTURB + ["--amplitude", "-0.1"], "--amplitude"),
     (_PERTURB + ["--amplitude", "nan"], "--amplitude"),
     (_PERTURB + ["--amplitude", "inf"], "--amplitude"),
+    (_PERTURB + ["--amplitude", "0.44"], "--amplitude 0.44: perturbation too large"),
+    (["fd-check", "--gamma", "1", "--t", "0.3"], "--t 0.3: perturbation too large"),
     (["criticality", "--shape", "droplet", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "inf"], "gamma must"),
@@ -211,6 +213,7 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
 ], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
         "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
         "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
+        "amplitude-too-large", "t-too-large",
         "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
         "fd-check-gamma=nan", "fd-check-interface=5", "fd-check-interface<0",
         "fd-check-q=40", "fd-check-q=0", "fd-check-q<0", "criticality-lamella-grid",

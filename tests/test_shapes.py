@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tempfile
@@ -9,8 +10,8 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            LamellaPotential, _marching_squares_length,
                            alpha_distance, boundary_mesh,
                            lamella, load_shape, perimeter_exact,
-                           perimeter_grid, rasterize, recenter_translation,
-                           resample_periodic, save_shape, volume_fraction)
+                           perimeter_grid, periodic_samples, rasterize,
+                           recenter_translation, save_shape, volume_fraction)
 from okstab.torus import (ScalarField, ValidationError, make_grid,
                           solve_poisson_periodic, trig_interpolate)
 from oracles import circle_distance, graph_perimeter_resampled, lamella_source_field
@@ -91,36 +92,51 @@ def test_graph_collision_guard():
         GraphPerturbation(base, psi)
 
 
+def test_graph_collision_checked_on_the_interpolant():
+    # square-wave samples inside the 0.45-gap guard: the interpolants'
+    # overshoot carries the two interfaces past each other
+    sq = np.where(np.arange(16) < 8, 1.0, -1.0)
+    psi = 0.2249 * np.stack([-sq, sq])
+    with pytest.raises(ValidationError, match="collide: least gap -0.0799"):
+        GraphPerturbation(lamella(1, 0.0), psi)
+
+
 @pytest.mark.parametrize("n0", [7, 8, 16])
 def test_resampled_heights_keep_node_values(n0):
     rng = np.random.default_rng(n0)
     psi = 0.01 * rng.normal(size=(2, n0))
-    pos, _ = lamella(1, 0.0).interfaces()
-    hts = GraphPerturbation(lamella(1, 0.0), psi).heights(4 * n0)
-    assert np.abs(hts[:, ::4] - pos[:, None] - psi).max() < 1e-14
+    for r in (1, 4):
+        assert np.abs(periodic_samples(psi, r * n0)[:, ::r] - psi).max() < 1e-14
 
 
-def _cardinal_interpolant(rows, x):
-    """sum_j rows_j D(x - j/n0), D the cardinal function of the n0-point
-    trigonometric interpolant written as a cosine sum; the Nyquist mode of
-    an even n0 enters once, as a cosine."""
+def _cardinal_interpolant(rows, x, order=0):
+    """order-th derivative of sum_j rows_j D(x - j/n0), D the cardinal
+    function of the n0-point trigonometric interpolant written as a cosine
+    sum; the Nyquist mode of an even n0 enters once, as a cosine."""
     n0 = rows.shape[1]
     t = x[:, None] - np.arange(n0) / n0
-    d = np.ones_like(t)
+
+    def mode(q):    # d^order/dt^order cos(2 pi q t)
+        w = 2 * np.pi * q
+        return w**order * np.cos(w * t + order * np.pi / 2)
+
+    d = np.full_like(t, 0.0 if order else 1.0)
     for q in range(1, (n0 + 1) // 2):
-        d += 2.0 * np.cos(2 * np.pi * q * t)
+        d += 2.0 * mode(q)
     if n0 % 2 == 0:
-        d += np.cos(np.pi * n0 * t)
+        d += mode(n0 / 2)
     return rows @ (d / n0).T
 
 
 @pytest.mark.parametrize("n0", [7, 8, 16])
 def test_resample_matches_dense_interpolant(n0):
     rows = np.random.default_rng(n0).normal(size=(3, n0))
-    for n in (n0 + 1, 2 * n0 + 1, 2048):
-        want = _cardinal_interpolant(rows, np.arange(n) / n)
-        got = resample_periodic(rows, n)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(rows).max()
+    for n, order, offset in itertools.product(
+            (n0 // 2, n0 - 1, n0, n0 + 1, 2 * n0 + 1, 2048), (0, 1, 2), (0.0, 0.5)):
+        want = _cardinal_interpolant(rows, (np.arange(n) + offset) / n, order)
+        got = periodic_samples(rows, n, order, offset)
+        bar = 1e-14 * (np.pi * n0) ** order * np.abs(rows).max()
+        assert np.abs(got - want).max() <= bar, (n, order, offset)
 
 
 def test_perimeter_exact():

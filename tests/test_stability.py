@@ -11,7 +11,7 @@ from okstab.energy import lamella_closed_form
 from okstab.config import DEFAULT_FIELD_GRID
 from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
-                           periodic_derivative, rasterize)
+                           periodic_samples, rasterize)
 from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               _log_quadrature_block, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
@@ -238,7 +238,7 @@ def _all_pairs_form(mesh, gamma):
     H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
-        Dt = periodic_derivative(np.eye(nc))
+        Dt = periodic_samples(np.eye(nc), nc, 1)
         Dtau = Dt / mesh.speeds[i0:i1][:, None]
         block = Dtau.T @ np.diag(W[i0:i1]) @ Dtau
         if nc % 2 == 0:
