@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
                      ShapeConfig, perimeter_exact, perimeter_grid, rasterize)
-from .torus import (ScalarField, TorusGrid, ValidationError, make_grid,
+from .torus import (ScalarField, TorusGrid, ValidationError, _wavenumbers, make_grid,
                     solve_poisson_periodic, spectral_gradient, trig_interpolate)
 
 
@@ -45,7 +45,7 @@ class EnergyBreakdown:
 def nonlocal_energy_field(u: ScalarField) -> float:
     """int |grad v|^2 with -Lap v = u - mean(u), as sum |uhat|^2 / (4 pi^2 |xi|^2)."""
     g = u.grid
-    return g.parseval(g.inverse_laplacian() * np.abs(u.spectrum) ** 2)
+    return g.parseval(g.inverse_laplacian(), u.spectrum)
 
 
 class GridPotential:
@@ -243,7 +243,7 @@ def _mode_weights(n_lat: int, q2_modes: int) -> np.ndarray:
     """w - w0 for q2 = 1..q2_modes and the fft order of q1: the weight
     w = 2 / ((pi q2 n_lat)^2 4 pi^2 |xi|^2) less its q1 = 0 value w0, each
     entry twice (real and imaginary part), read-only."""
-    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
+    q1 = _wavenumbers(n_lat)
     q2 = np.arange(1, q2_modes + 1)[:, None]
     w = -2.0 * q1**2 / (4.0 * np.pi**4 * n_lat**2 * q2**4 * (q1**2 + q2**2))
     out = np.repeat(w, 2, axis=1)
@@ -270,7 +270,7 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     # q2 = 0 row: lateral variation of the strip widths
     row0 = 2.0 * ((hts[1::2] - hts[0::2]) % 1.0).sum(axis=0)
     c0 = np.fft.fft(row0 - row0.mean())[1:] / n_lat
-    q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)[1:]
+    q1 = _wavenumbers(n_lat)[1:]
     total = float(np.sum(np.abs(c0) ** 2 / (4.0 * np.pi**2 * q1**2)))
 
     # q2 >= 1: sum over interfaces of -sgn e^{-2 pi i q2 h} (bottoms +, tops -);

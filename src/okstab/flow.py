@@ -52,7 +52,7 @@ def diffuse_energy(u: ScalarField, epsilon: float, gamma0: float) -> float:
         raise ValidationError(f"gamma0 must be nonnegative and finite, got {gamma0!r}")
     g = u.grid
     well = float(((u.values**2 - 1.0) ** 2).mean()) / epsilon
-    return g.parseval(_flow_symbols(g, epsilon, gamma0)[0] * np.abs(u.spectrum) ** 2) + well
+    return g.parseval(_flow_symbols(g, epsilon, gamma0)[0], u.spectrum) + well
 
 
 @dataclass
@@ -91,9 +91,10 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
 
     The Laplacian is implicit, the well and nonlocal terms explicit with a
     constant shift S and their zero mode set to 0 (the projection to mean
-    zero), so the zero mode of u is reproduced identically.  u's spectrum
-    comes cached from its energy check: 3 real FFTs per step, 2 more per
-    rejected candidate (an energy rise beyond round-off; dt is halved).
+    zero), so the zero mode of u is reproduced identically.  A candidate keeps
+    the spectrum it is built from, to be priced and, if accepted, to feed the
+    next step: 2 real FFTs per accepted step, 1 more per rejected candidate
+    (an energy rise beyond round-off; dt is halved).
     """
     dt = state.dt if dt is None else dt
     if not 0.0 < dt < np.inf:
@@ -110,9 +111,8 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
     nh[(0,) * grid.dim] = 0.0
     e0 = state.energy
     for _ in range(40):
-        unew = grid.irfft((uh * (1.0 + dt * S) - dt * nh)
-                          / (1.0 + dt * (lam + S)))
-        cand = ScalarField._adopt(grid, unew)
+        spec = (uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S))
+        cand = ScalarField._from_spectrum(grid, spec)
         e1 = diffuse_energy(cand, state.epsilon, state.gamma0)
         if e1 <= e0 * (1.0 + TOLERANCES.energy_increase_rel) \
                 + TOLERANCES.energy_increase_rel:

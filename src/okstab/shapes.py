@@ -451,10 +451,6 @@ class LamellaPotential:
     def dv(self, x):
         return -2.0 * green_kernel_screened(0, self._offsets(x)) @ self._sgn
 
-    def normal_derivative(self) -> np.ndarray:
-        """Outward normal derivative of v at each interface (interface order)."""
-        return self._sgn * self.dv(self._pos)
-
     def on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
         return self.v(mesh.points[:, self.shape.axis])
 

@@ -308,15 +308,6 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     return QuadraticFormMatrix(A, W, H1, np.array(rows), frame, mesh)
 
 
-def translation_form_value(form: QuadraticFormMatrix, axis: int = 1) -> float:
-    """Form evaluated on the translation trace nu . e_axis, relative to the
-    form's scale on that vector."""
-    phi = form.mesh.normals[:, axis]
-    raw = form.value(phi)
-    norm = float(phi @ (form.weights * phi))
-    return raw / max(norm, 1e-30)
-
-
 def constrained_min_eig(form: QuadraticFormMatrix,
                         norm: str = "l2") -> StabilityReport:
     """Minimal Rayleigh quotient of the form on the constrained complement.

@@ -23,6 +23,12 @@ import numpy as np
 from .config import MIN_GRID_SIZE, TOLERANCES, NumericalError, ValidationError
 
 
+def _wavenumbers(n: int, half: bool = False) -> np.ndarray:
+    """Integer wavenumbers in FFT order (0..n//2 if half); fftfreq is ulps off."""
+    k = np.arange(n // 2 + 1) if half else (np.arange(n) + n // 2) % n - n // 2
+    return k.astype(float)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid on T^dim, unit total volume."""
@@ -50,22 +56,17 @@ class TorusGrid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         n = self.sizes[axis]
         return (np.arange(n) + 0.5) / n
 
-    def coords(self) -> list[np.ndarray]:
-        """Meshgrid ('ij') of cell-center coordinates."""
-        axes = [self.axis_coords(a) for a in range(self.dim)]
-        return list(np.meshgrid(*axes, indexing="ij"))
-
     def half_wavenumbers(self) -> list[np.ndarray]:
         """Integer wavenumbers on the rfftn half spectrum, sparse 'ij' grids."""
-        ks = [np.fft.fftfreq(n, d=1.0 / n) for n in self.sizes[:-1]]
-        ks.append(np.fft.rfftfreq(self.sizes[-1], d=1.0 / self.sizes[-1]))
+        ks = [_wavenumbers(n) for n in self.sizes[:-1]]
+        ks.append(_wavenumbers(self.sizes[-1], half=True))
         return np.meshgrid(*ks, indexing="ij", sparse=True)
 
     @functools.lru_cache
@@ -91,11 +92,15 @@ class TorusGrid:
         """Real grid values of a half spectrum."""
         return np.fft.irfftn(spec, s=self.sizes, axes=tuple(range(self.dim)))
 
-    def parseval(self, density: np.ndarray) -> float:
-        """Full-spectrum sum / N^2 of an even density on the half spectrum; the
-        last-axis columns 1..(n-1)//2 stand for their conjugates too (count twice)."""
-        twice = density[..., 1:(self.sizes[-1] + 1) // 2]
-        return float(density.sum() + twice.sum()) / self.num_cells**2
+    def parseval(self, symbol: np.ndarray, spec: np.ndarray) -> float:
+        """Full-spectrum sum of symbol (re^2 + im^2) / N^2 of a half spectrum,
+        symbol even: every last-axis column stands for its conjugate too, bar
+        the zero and (even n) the Nyquist column, which count half as much."""
+        power = np.square(spec.real) + np.square(spec.imag)
+        power[..., 0] *= 0.5
+        if self.sizes[-1] % 2 == 0:
+            power[..., -1] *= 0.5
+        return 2.0 * float(np.vdot(symbol, power)) / self.num_cells**2
 
 
 @dataclass(frozen=True)
@@ -120,17 +125,26 @@ class ScalarField:
         f._own(values)
         return f
 
+    @classmethod
+    def _from_spectrum(cls, grid: TorusGrid, spec: np.ndarray) -> "ScalarField":
+        """Field of values irfft(spec); spec, an array okstab owns, is its spectrum."""
+        f = cls._adopt(grid, grid.irfft(spec))
+        f.values.flags.writeable = spec.flags.writeable = False
+        vars(f)["spectrum"] = spec
+        return f
+
     def _own(self, values: np.ndarray):
         object.__setattr__(self, "values", values)
         if self.values.shape != self.grid.sizes:
             raise ValidationError(
                 f"value shape {self.values.shape} does not match grid {self.grid.sizes}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValidationError("field contains non-finite values")
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """rfftn half spectrum, computed once; values and spectrum are then read-only."""
+        """rfftn half spectrum, computed once; values and spectrum are then read-only.
+        A field built from a spectrum keeps it: rfftn(values) matches to round-off."""
         self.values.flags.writeable = False
         out = self.grid.rfft(self.values)
         out.flags.writeable = False
@@ -166,12 +180,6 @@ def solve_poisson_periodic(f: ScalarField) -> ScalarField:
     return ScalarField._adopt(g, g.irfft(g.rfft(f.values) * g.inverse_laplacian()))
 
 
-def laplacian(v: ScalarField) -> ScalarField:
-    """Spectral Laplacian; used for residual checks."""
-    g = v.grid
-    return ScalarField._adopt(g, g.irfft(-4.0 * np.pi**2 * g.ksq() * g.rfft(v.values)))
-
-
 def spectral_gradient(v: ScalarField):
     """Spectral gradient components, yielded one at a time; an even axis's
     Nyquist mode is dropped."""
@@ -185,7 +193,7 @@ def spectral_gradient(v: ScalarField):
 def dirichlet_energy(v: ScalarField) -> float:
     """int |grad v|^2 by the Parseval sum sum 4 pi^2 |xi|^2 |vhat|^2."""
     g = v.grid
-    return g.parseval(4.0 * np.pi**2 * g.ksq() * np.abs(g.rfft(v.values)) ** 2)
+    return g.parseval(4.0 * np.pi**2 * g.ksq(), g.rfft(v.values))
 
 
 def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -205,7 +213,7 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     # shift coefficients so that modes are e^{2 pi i n x} in physical coordinates
     operands = []
     for axis, n in enumerate(v.grid.sizes):
-        k = np.fft.fftfreq(n, d=1.0 / n)
+        k = _wavenumbers(n)
         if n % 2 == 0:
             coef = np.take(coef, np.append(np.arange(n), n // 2), axis=axis)
             k = np.append(k, n // 2)

@@ -1,9 +1,48 @@
-"""Independent oracles shared by the test modules."""
+"""Independent oracles and helpers shared by the test modules."""
+
+import tracemalloc
 
 import numpy as np
 
-from okstab.shapes import GraphPerturbation, Lamella
+from okstab.shapes import GraphPerturbation, Lamella, LamellaPotential
 from okstab.torus import ScalarField, green_kernel_screened, make_grid
+
+
+def traced_peak(call):
+    """tracemalloc peak in bytes of a second call (the first warms the caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def interface_normal_derivative(pot: LamellaPotential) -> np.ndarray:
+    """Outward normal derivative of a lamella potential at each interface."""
+    pos, sgn = pot.shape.interfaces()
+    return sgn * pot.dv(pos)
+
+
+def translation_form_value(form, axis: int = 1) -> float:
+    """Form evaluated on the translation trace nu . e_axis, relative to the
+    form's scale on that vector."""
+    phi = form.mesh.normals[:, axis]
+    return form.value(phi) / max(float(phi @ (form.weights * phi)), 1e-30)
+
+
+def grid_coords(grid) -> list[np.ndarray]:
+    """Meshgrid ('ij') of the cell-centre coordinates (j + 1/2)/n of a grid."""
+    return np.meshgrid(*[(np.arange(n) + 0.5) / n for n in grid.sizes], indexing="ij")
+
+
+def laplacian(v: ScalarField) -> np.ndarray:
+    """Spectral Laplacian of a field's values on the full complex spectrum."""
+    ks = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in v.grid.sizes],
+                     indexing="ij", sparse=True)
+    ksq = sum(k * k for k in ks)
+    return np.fft.ifftn(-4.0 * np.pi**2 * ksq * np.fft.fftn(v.values)).real
 
 
 def lamella_source_field(shape: Lamella, n: int) -> ScalarField:

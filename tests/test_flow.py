@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from okstab.flow import (GAMMA0_FACTOR, FlowState, diffuse_energy, flow_step,
-                         flow_residual, profile_constant, run_flow,
+from okstab.flow import (GAMMA0_FACTOR, FlowState, _flow_symbols, diffuse_energy,
+                         flow_step, flow_residual, profile_constant, run_flow,
                          sharp_gamma_to_gamma0, tanh_profile)
 from okstab.shapes import Lamella, lamella, rasterize
 from okstab.torus import (NumericalError, ScalarField, ValidationError,
                           make_grid)
+from oracles import traced_peak
 
 
 def test_gamma_conversion():
@@ -84,9 +85,11 @@ def test_step_matches_complex_reference(sizes):
     assert np.abs(st.u.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
-class _FourFFTOracle:
-    """Today's step written out with every transform and symbol rebuilt:
-    4 real FFTs per accepted candidate, 3 per rejected one."""
+class _TwoFFTOracle:
+    """The step written out with every transform and symbol rebuilt.  Each
+    candidate is built from its spectrum, priced from it, and once accepted
+    hands it to the next step: 2 real FFTs per accepted step, 1 per rejected
+    candidate."""
 
     def __init__(self, shape, eps, gamma0):
         ks = [np.fft.fftfreq(n, 1.0 / n) for n in shape[:-1]]
@@ -102,28 +105,33 @@ class _FourFFTOracle:
     def quad(self):
         return self.eps * 4.0 * np.pi**2 * self.ksq + self.gamma0 * self.inv
 
-    def energy(self, u):
-        d = self.quad() * np.abs(np.fft.rfftn(u)) ** 2
-        parseval = float(d.sum() + d[..., 1:(self.shape[-1] + 1) // 2].sum()) / u.size**2
+    def energy(self, u, uh):
+        # Parseval on the half spectrum: the zero and (even n) Nyquist columns
+        # count once, every other column twice
+        power = uh.real**2 + uh.imag**2
+        power[..., 0] /= 2.0
+        if self.shape[-1] % 2 == 0:
+            power[..., -1] /= 2.0
+        parseval = 2.0 * float(np.vdot(self.quad(), power)) / u.size**2
         return parseval + float(((u**2 - 1.0) ** 2).mean()) / self.eps
 
-    def residual(self, u):
-        d = (self.irfft(2.0 * self.quad() * np.fft.rfftn(u))
+    def residual(self, u, uh):
+        d = (self.irfft(2.0 * self.quad() * uh)
              + (4.0 / self.eps) * u * (u**2 - 1.0))
         return float(np.abs(d - d.mean()).max())
 
-    def step(self, u, S, dt, e0):
-        """(u, energy, rejections) after one accepted step."""
+    def step(self, u, uh, S, dt, e0):
+        """(u, its spectrum, energy, rejections) after one accepted step."""
         lam = 2.0 * self.eps * 4.0 * np.pi**2 * self.ksq
-        uh = np.fft.rfftn(u)
         nh = (np.fft.rfftn((4.0 / self.eps) * u * (u**2 - 1.0))
               + 2.0 * self.gamma0 * self.inv * uh)
         nh[(0,) * u.ndim] = 0.0
         for rejections in range(40):
-            unew = self.irfft((uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S)))
-            e1 = self.energy(unew)
+            spec = (uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S))
+            unew = self.irfft(spec)
+            e1 = self.energy(unew, spec)
             if e1 <= e0 * (1.0 + 1e-12) + 1e-12:
-                return unew, e1, rejections
+                return unew, spec, e1, rejections
             dt *= 0.5
         raise AssertionError("oracle step rejected 40 times")
 
@@ -136,8 +144,9 @@ def test_step_is_bit_identical_to_four_fft_oracle(sizes, forced, monkeypatch):
     g = make_grid(len(sizes), sizes)
     u = 0.9 * np.tanh(2 * rng.standard_normal(sizes)) + 0.1
     st = FlowState(ScalarField(g, u.copy()), epsilon=0.1, gamma0=30.0, dt=1e-4)
-    oracle = _FourFFTOracle(sizes, 0.1, 30.0)
-    energies, rejections = [oracle.energy(u)], 0
+    oracle = _TwoFFTOracle(sizes, 0.1, 30.0)
+    uh = np.fft.rfftn(u)
+    energies, rejections = [oracle.energy(u, uh)], 0
     calls = []
     for name in ("rfftn", "irfftn"):
         fn = getattr(np.fft, name)
@@ -150,15 +159,31 @@ def test_step_is_bit_identical_to_four_fft_oracle(sizes, forced, monkeypatch):
         before = st.rejections
         del calls[:]
         flow_step(st, dt=dt)
-        assert len(calls) == 3 + 2 * (st.rejections - before)
-        u, e1, r = oracle.step(u, st.stabilization, dt, energies[-1])
+        assert len(calls) == 2 + (st.rejections - before)
+        u, uh, e1, r = oracle.step(u, uh, st.stabilization, dt, energies[-1])
         energies.append(e1)
         rejections += r
         assert np.array_equal(st.u.values, u)
     assert forced == (rejections > 0)
     assert st.rejections == rejections
     assert np.array_equal([e for (_, _, e) in st.energy_history], energies)
-    assert flow_residual(st) == oracle.residual(u)
+    assert flow_residual(st) == oracle.residual(u, uh)
+
+
+def test_accepted_step_footprint():
+    # one accepted 256^2 step peaked at 2.11 MB (an irfftn and its inputs,
+    # numpy 2.4); a step that kept one more half spectrum (0.53 MB) alive, on
+    # top of the candidate spectrum it carries, would cross the bar
+    g = make_grid(2, (256, 256))
+    rng = np.random.default_rng(3)
+    u = ScalarField(g, 0.9 * np.tanh(2 * rng.standard_normal(g.sizes)) + 0.1)
+    st = FlowState(u, epsilon=0.0625, gamma0=100.0, dt=1e-5)
+    peak = traced_peak(lambda: flow_step(st))
+    assert st.step == 2 and st.rejections == 0
+    assert peak < 2.4e6, peak / 1e6
+    # the caches the warm-up call hides: one (grid, eps, gamma0) key keeps
+    # no more than three real half-spectrum arrays
+    assert _flow_symbols(g, 0.0625, 100.0).nbytes <= 3 * 256 * 129 * 8
 
 
 def test_energy_monotone_decrease():

@@ -6,12 +6,14 @@ make sure both parities of the last (half-spectrum) axis are always run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okstab.flow import FlowState, diffuse_energy, flow_step
 from okstab.shapes import alpha_distance
-from okstab.torus import ScalarField, laplacian, make_grid, solve_poisson_periodic
+from okstab.torus import ScalarField, make_grid, solve_poisson_periodic
+from oracles import grid_coords, laplacian
 
 sizes_st = st.integers(1, 3).flatmap(
     lambda d: st.lists(st.integers(8, 13), min_size=d, max_size=d)).map(tuple)
@@ -68,6 +70,22 @@ def test_energy_translation_invariant(sizes, seed):
     assert abs(diffuse_energy(moved, 0.07, 25.0) - e0) <= 1e-13 * e0
 
 
+def _check_cached_spectra(u, state):
+    # a field built from values caches the transform of its frozen values; a
+    # flow state keeps the spectrum its values were built from, which the
+    # transform of those values matches to round-off only
+    for f in (u, state.u):
+        assert not f.values.flags.writeable and not f.spectrum.flags.writeable
+    assert np.array_equal(u.spectrum, np.fft.rfftn(u.values))
+    v, spec = state.u.values, state.u.spectrum
+    assert np.array_equal(v, np.fft.irfftn(spec, s=v.shape, axes=range(v.ndim)))
+    assert np.abs(np.fft.rfftn(v) - spec).max() <= 1e-13 * np.abs(spec).max()
+    w = state.u.copy()
+    assert w.values.flags.writeable and w.spectrum is not spec
+    e = diffuse_energy(w, state.epsilon, state.gamma0)
+    assert abs(e - state.energy) <= 1e-14 * abs(state.energy)
+
+
 @prop
 @given(sizes=sizes_st, seed=seed_st)
 @_with_examples
@@ -75,13 +93,22 @@ def test_cached_spectrum_is_the_transform_of_frozen_values(sizes, seed):
     u = _field(sizes, seed)
     state = FlowState(u, epsilon=0.1, gamma0=30.0, dt=1e-3)
     flow_step(state)
-    for f in (u, state.u):
-        assert not f.values.flags.writeable and not f.spectrum.flags.writeable
-        assert np.array_equal(f.spectrum, np.fft.rfftn(f.values))
-    w = state.u.copy()
-    assert w.values.flags.writeable and w.spectrum is not state.u.spectrum
-    assert np.array_equal(w.spectrum, state.u.spectrum)
-    assert diffuse_energy(w, 0.1, 30.0) == state.energy
+    _check_cached_spectra(u, state)
+
+
+@pytest.mark.parametrize("sizes, forced", [
+    ((48, 40), False), ((33, 45), False), ((9, 10, 8), False), ((48, 40), True)])
+def test_flow_state_keeps_the_spectrum_it_was_built_from(sizes, forced):
+    u = _field(sizes, 5)
+    state = FlowState(u, epsilon=0.1, gamma0=30.0, dt=1e-4)
+    for _ in range(3):
+        flow_step(state)
+    if forced:
+        state.stabilization = 1e-12    # undersized shift: explicit blow-up
+        for _ in range(3):
+            flow_step(state, dt=10.0)
+    assert (state.rejections > 0) == forced
+    _check_cached_spectra(u, state)
 
 
 @prop
@@ -101,7 +128,7 @@ def test_poisson_residual_band_limited(sizes, seed):
     # a few Fourier modes strictly below the Nyquist frequency of each axis
     rng = np.random.default_rng(seed)
     g = make_grid(len(sizes), sizes)
-    xs = g.coords()
+    xs = grid_coords(g)
     f = np.zeros(sizes)
     for _ in range(4):
         k = [rng.integers(-((n - 1) // 2), (n - 1) // 2 + 1) for n in sizes]
@@ -111,7 +138,7 @@ def test_poisson_residual_band_limited(sizes, seed):
         f += rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
     f = ScalarField(g, f - f.mean())
     v = solve_poisson_periodic(f)
-    res = laplacian(v).values + f.values
+    res = laplacian(v) + f.values
     assert np.abs(res).max() <= 1e-10 * max(np.abs(f.values).max(), 1e-300)
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +16,11 @@ from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
                               lamella_mode_matrix, stability_threshold_gamma,
-                              stability_threshold_k, translation_form_value)
+                              stability_threshold_k)
 from okstab.torus import (NumericalError, ScalarField, ValidationError,
                           green2d_self_regularized, green_function_2d, make_grid,
                           solve_poisson_periodic, spectral_gradient, trig_interpolate)
+from oracles import interface_normal_derivative, traced_peak, translation_form_value
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
 
@@ -65,7 +65,8 @@ def test_normal_derivative_scaling():
     for k in (1, 2, 5, 11):
         for m in (-0.4, 0.0, 0.6):
             a = (m + 1) / 2
-            dnv = LamellaPotential(Lamella(k, m, axis=0, dim=1)).normal_derivative()
+            pot = LamellaPotential(Lamella(k, m, axis=0, dim=1))
+            dnv = interface_normal_derivative(pot)
             assert np.abs(dnv + a * (1 - a) / k).max() < 1e-14
 
 
@@ -309,17 +310,6 @@ def test_boundary_form_matches_all_pairs_assembly(mesh, gamma):
     assert np.array_equal(form.h1, H1)
 
 
-def _traced_peak(call):
-    """tracemalloc peak in bytes of a second call (the first warms the caches)."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("shape, n, limit_mb", [
     (lamella(2, -0.2), 256, 32.0), (Droplet((0.43, 0.57), 0.22), 256, 8.0)],
     ids=["lamella-k2", "droplet"])
@@ -328,14 +318,14 @@ def test_boundary_form_peak_memory(shape, n, limit_mb):
     # 346 MB (k=2, 1024 nodes) and 23 MB (droplet); a symmetry check through
     # |A - A.T| at 34.8 MB (k=2)
     mesh = boundary_mesh(shape, n)
-    peak = _traced_peak(lambda: assemble_boundary_form(mesh, 5.0))
+    peak = traced_peak(lambda: assemble_boundary_form(mesh, 5.0))
     assert peak < limit_mb * 1e6, peak / 1e6
 
 
 def test_constrained_min_eig_l2_peak_memory():
     # a dense diag(weights) mass and a second SVD peaked at 3.61 MB
     form = assemble_boundary_form(boundary_mesh(Droplet((0.43, 0.57), 0.22), 256), 5.0)
-    peak = _traced_peak(lambda: constrained_min_eig(form, "l2"))
+    peak = traced_peak(lambda: constrained_min_eig(form, "l2"))
     assert peak < 3.3e6, peak / 1e6
 
 

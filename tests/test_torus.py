@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from okstab import torus
-from okstab.torus import (ScalarField, ValidationError, dirichlet_energy,
-                          green2d_self_regularized, green_function_2d,
-                          green_kernel_screened, laplacian, load_field,
+from okstab.torus import (ScalarField, ValidationError, _wavenumbers,
+                          dirichlet_energy, green2d_self_regularized,
+                          green_function_2d, green_kernel_screened, load_field,
                           make_grid, save_field, solve_poisson_periodic,
                           spectral_gradient, trig_interpolate)
-from oracles import green2d_screened, green2d_screened_self_regularized
+from oracles import (green2d_screened, green2d_screened_self_regularized,
+                     grid_coords, laplacian)
 
 
 def test_grid_basics():
@@ -44,7 +45,7 @@ def test_poisson_zero_and_mean_guard():
 def test_poisson_residual_random_band_limited():
     rng = np.random.default_rng(7)
     g = make_grid(2, (64, 64))
-    X, Y = g.coords()
+    X, Y = grid_coords(g)
     f = np.zeros(g.sizes)
     for _ in range(12):
         kx, ky = rng.integers(-10, 11, size=2)
@@ -54,7 +55,7 @@ def test_poisson_residual_random_band_limited():
         f += rng.normal() * np.sin(2 * np.pi * (kx * X + ky * Y))
     fld = ScalarField(g, f - f.mean())
     v = solve_poisson_periodic(fld)
-    res = laplacian(v).values + fld.values
+    res = laplacian(v) + fld.values
     assert np.abs(res).max() <= 1e-10 * np.abs(fld.values).max()
 
 
@@ -124,7 +125,7 @@ def test_green2d_vs_mollified_solve():
     # convolve G with a narrow Gaussian; the smoothing bias is sigma^2/2
     # exactly because Lap G = 1 away from the singularity
     g = make_grid(2, (256, 256))
-    X, Y = g.coords()
+    X, Y = grid_coords(g)
     sig = 0.02
 
     def wrap(d):
@@ -269,7 +270,7 @@ def test_trig_interpolation_reproduces_nodes():
     g = make_grid(2, (32, 32))
     vals = rng.standard_normal(g.sizes)
     fld = ScalarField(g, vals)
-    X, Y = g.coords()
+    X, Y = grid_coords(g)
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     out = trig_interpolate(fld, pts).reshape(g.sizes)
     assert np.abs(out - vals).max() < 1e-10
@@ -326,11 +327,25 @@ def test_ksq_built_once_and_read_only():
         g.inverse_laplacian()[0, 0] = 1.0
 
 
+def test_wavenumbers_are_integers_at_every_size():
+    # fftfreq(n, 1/n) is up to 7.1e-15 off the integers at n = 49 and 98
+    g = make_grid(2, (49, 98))
+    k0, k1 = g.half_wavenumbers()
+    assert np.array_equal(k0.ravel(), np.r_[0:25, -24:0])
+    assert np.array_equal(k1.ravel(), np.arange(50))
+    assert np.array_equal(g.ksq(), np.rint(g.ksq()))
+    assert np.array_equal(_wavenumbers(98), np.r_[0:49, -49:0])
+    # at powers of two, fftfreq is exact: the symbols keep their bits
+    for n in (8, 64, 128, 256, 1024):
+        assert np.array_equal(_wavenumbers(n), np.fft.fftfreq(n, 1.0 / n))
+        assert np.array_equal(_wavenumbers(n, half=True), np.fft.rfftfreq(n, 1.0 / n))
+
+
 def test_spectral_gradient_modes():
     # odd and even axes; the mode at the Nyquist frequency of the even axis
     # has no derivative along that axis, only along the other one
     g = make_grid(2, (16, 15))
-    X, Y = g.coords()
+    X, Y = grid_coords(g)
     a1 = 2 * np.pi * (3 * X - 2 * Y)
     a2 = 2 * np.pi * (8 * X + 3 * Y)
     gx, gy = spectral_gradient(ScalarField(g, np.sin(a1) + np.sin(a2)))
