@@ -16,7 +16,7 @@ from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     dirichlet_energy, green_function_2d, green_kernel_screened,
                     load_field, make_grid, save_field, solve_poisson_periodic)
 from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
-                     Lamella, alpha_distance, boundary_mesh, lamella,
+                     Lamella, alpha_distance, boundary_mesh, graph_alpha, lamella,
                      perimeter_exact, perimeter_grid, rasterize,
                      recenter_translation, volume_fraction)
 from .energy import (EnergyBreakdown, el_residual, energy, graph_energy,

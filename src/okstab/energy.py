@@ -146,14 +146,14 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
                 grid: TorusGrid | None = None) -> CriticalityReport:
     """Residual of H + 4 gamma v = lambda on the mesh nodes.
 
-    v is the mesh shape's `potential` at the nodes: the exact profile of a
-    lamella (a grid is rejected: rasterizing would contaminate the residual
-    at O(h)), else the indicator's on `grid`.  lambda is the
-    arc-length-weighted mean of H + 4 gamma v.
+    v is the mesh shape's `potential` at the nodes, built only if gamma > 0:
+    the exact profile of a lamella (a grid is rejected: rasterizing would
+    contaminate the residual at O(h)), else the indicator's on `grid`.
+    lambda is the arc-length-weighted mean of H + 4 gamma v.
     """
     _check_gamma(gamma)
-    pot = potential(mesh.shape, grid)
-    vals = mesh.curvature + 4.0 * gamma * pot.on_mesh(mesh) if gamma > 0 else mesh.curvature
+    vals = (mesh.curvature + 4.0 * gamma * potential(mesh.shape, grid).on_mesh(mesh)
+            if gamma > 0 else mesh.curvature)
     w = mesh.weights / mesh.weights.sum()
     lam = float(np.sum(w * vals))
     res = vals - lam

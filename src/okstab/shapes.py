@@ -149,6 +149,9 @@ class GraphPerturbation:
 
 ShapeConfig = Lamella | Droplet | DropletSet | GraphPerturbation
 
+# lateral nodes (or psi's own, if more) of a graph perturbation's perimeter and alpha
+GRAPH_NODES = 2048
+
 
 def lamella(k: int, m: float, axis: int = -1, dim: int = 2) -> Lamella:
     return Lamella(k=k, m=m, axis=axis, dim=dim)
@@ -236,8 +239,8 @@ def volume_fraction(u: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 def perimeter_exact(shape: ShapeConfig) -> float:
-    """Exact (or spectrally converged, on 2048 lateral nodes or psi's own if
-    more) perimeter of a parametric shape."""
+    """Exact (or spectrally converged, on GRAPH_NODES lateral nodes or psi's
+    own if more) perimeter of a parametric shape."""
     if isinstance(shape, Lamella):
         return 2.0 * shape.k
     if isinstance(shape, Droplet):
@@ -247,7 +250,7 @@ def perimeter_exact(shape: ShapeConfig) -> float:
     if isinstance(shape, DropletSet):
         return sum(perimeter_exact(d) for d in shape.droplets)
     if isinstance(shape, GraphPerturbation):
-        dpsi = periodic_samples(shape.psi, max(2048, shape.psi.shape[1]), 1)
+        dpsi = periodic_samples(shape.psi, max(GRAPH_NODES, shape.psi.shape[1]), 1)
         return float(np.mean(np.sqrt(1.0 + dpsi**2), axis=1).sum())
     raise ValidationError(f"unknown shape {type(shape)}")
 
@@ -323,6 +326,17 @@ def alpha_distance(uE: ScalarField, uF: ScalarField):
     shift_idx = np.unravel_index(np.argmin(counts), counts.shape)
     shift = tuple(int(i) * s for i, s in zip(shift_idx, g.spacing))
     return float(counts[shift_idx]) * g.cell_volume, shift
+
+
+def graph_alpha(gp: GraphPerturbation) -> float:
+    """min over translations x of |F triangle (x + E)|, F = gp and E its lamella.
+
+    E is invariant under lateral shifts and vertical shifts by 1/k, so alpha =
+    min_tau sum_i int |psi_i - tau| dx, attained at a median tau of all rows'
+    heights, on GRAPH_NODES lateral nodes (psi's own if more) and no grid.
+    """
+    psi = periodic_samples(gp.psi, max(GRAPH_NODES, gp.psi.shape[1]))
+    return float(np.abs(psi - np.median(psi)).mean(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,9 @@ class TorusGrid:
         return out
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of real grid values."""
-        return np.fft.rfftn(values)
+        """Half spectrum of real grid values, into one preallocated buffer."""
+        half = self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+        return np.fft.rfftn(values, out=np.empty(half, dtype=complex))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Real grid values of a half spectrum."""

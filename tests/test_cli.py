@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okstab.cli import build_parser, dispatch
-from okstab.energy import el_residual, energy
-from okstab.shapes import (Droplet, alpha_distance, boundary_mesh, lamella, rasterize,
-                           save_shape)
+from okstab.cli import _random_heights, build_parser, dispatch
+from okstab.energy import el_residual, energy, volume_corrected_perturbation
+from okstab.shapes import (Droplet, alpha_distance, boundary_mesh, graph_alpha, lamella,
+                           rasterize, save_shape)
 from okstab.torus import make_grid
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -94,6 +94,24 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                        "--m", "0.0"])
         assert rc == 1
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,val", [
+    (["perturb-test", "--gamma", "40", "--trials", "2"], "grid", "128"),
+    (["energy", "--shape", "lamella"], "dim", "2"),
+    (["criticality", "--shape", "droplet"], "dim", "2"),
+])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_retired_options_are_rejected(tmp_path, capsys, argv, key, val, where):
+    # perturb-test takes alpha from the heights, on no grid; a droplet's
+    # dimension is the length of --center, and a lamella's energy has none
+    cfg = os.path.join(str(tmp_path), "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"{key}={val}\n")
+    extra = [f"--{key}", val] if where == "flag" else ["--config", cfg]
+    assert dispatch(argv + extra + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("where", ["config", "out"])
@@ -425,3 +443,20 @@ def test_fd_check_output(tmp_path):
     text = Path(out).read_text()
     ratio = [l for l in text.splitlines() if l.startswith("ratio,")][0]
     assert abs(float(ratio.split(",")[1]) - 1.0) < 0.01
+
+
+def test_perturb_test_rows_take_alpha_from_the_heights(tmp_path):
+    argv = ["perturb-test", "--gamma", "40", "--k", "2", "--m", "0.3", "--trials", "3",
+            "--seed", "5", "--modes", "3"]
+    rc, out = _run(tmp_path, argv)
+    assert rc == 0
+    rows = [l.split(",") for l in Path(out).read_text().splitlines()
+            if not l.startswith("#")][1:]
+    base = lamella(2, 0.3)
+    rng = np.random.default_rng(5)
+    for trial, (idx, excess, alpha, ratio) in enumerate(rows[:-1]):
+        psi = _random_heights(rng, 4, 12, 3, 0.25 * base.interface_gap)
+        gp = volume_corrected_perturbation(base, psi)
+        assert int(idx) == trial and float(alpha) == graph_alpha(gp)
+        assert float(ratio) == float(excess) / float(alpha) ** 2
+    assert rows[-1] == ["min", "", "", str(min(float(r[3]) for r in rows[:-1]))]

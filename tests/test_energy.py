@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -136,6 +137,16 @@ def test_el_residual_droplet():
     r_small = el_residual(boundary_mesh(Droplet((0.5, 0.5), 0.12), 128), 1.0)
     assert r_small.residual_sup < r_big.residual_sup
 
+
+def test_el_residual_at_gamma_zero_builds_no_potential():
+    # H alone: a mesh without a shape works, and a droplet's grid goes unused
+    mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 128)
+    bare = dataclasses.replace(mesh, shape=None)
+    want = el_residual(mesh, 0.0)
+    for got in (el_residual(bare, 0.0), el_residual(mesh, 0.0, make_grid(2, (64, 64)))):
+        assert got.lam == want.lam and np.array_equal(got.residual, want.residual)
+    with pytest.raises(ValidationError, match="no shape"):
+        el_residual(bare, 1.0)
 
 def test_lipschitz_ratio_strip_family():
     # strips [0,a] vs [0,a+delta]: the difference quotient tends to

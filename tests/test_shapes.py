@@ -6,9 +6,11 @@ import tempfile
 import numpy as np
 import pytest
 
+from okstab.cli import _random_heights
+from okstab.energy import volume_corrected_perturbation
 from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            LamellaPotential, _marching_squares_length,
-                           alpha_distance, boundary_mesh,
+                           alpha_distance, boundary_mesh, graph_alpha,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, periodic_samples, rasterize,
                            recenter_translation, save_shape, volume_fraction)
@@ -326,6 +328,75 @@ def test_alpha_pseudometric():
     a02, _ = alpha_distance(fields[0], fields[2])
     assert a02 <= a01 + a12 + 1e-15
 
+
+def _perturbed(k, m, seed):
+    """A volume-corrected perturbation on perturb-test's seeded random rows."""
+    base = lamella(k, m)
+    rng = np.random.default_rng(seed)
+    psi = _random_heights(rng, 2 * k, 16, 4, 0.25 * base.interface_gap)
+    return base, volume_corrected_perturbation(base, psi)
+
+
+def _raster_alpha(gp, base, n):
+    g = make_grid(2, (n, n))
+    return alpha_distance(rasterize(gp, g), rasterize(base, g))[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [0.0, 0.3, -0.4])
+def test_graph_alpha_matches_the_raster_shift_search(k, m):
+    # 1200 = 2^4 3 5^2 puts every base interface on a cell edge; at 1024^2 the
+    # misplaced base interfaces of k = 3 alone cost the raster up to 1.1e-2
+    base, gp = _perturbed(k, m, 10 * k)
+    want = _raster_alpha(gp, base, 1200)
+    assert abs(graph_alpha(gp) - want) <= 2e-3 * want
+
+
+def test_graph_alpha_raster_error_shrinks_with_the_grid():
+    # summed over four perturbations: one alone can gain from where its median
+    # falls between the raster's whole-cell shifts
+    errs = np.zeros(3)
+    for seed in range(4):
+        base, gp = _perturbed(2, 0.0, seed)
+        a = graph_alpha(gp)
+        errs += [abs(_raster_alpha(gp, base, n) - a) for n in (512, 1024, 2048)]
+    assert errs[0] > errs[1] > errs[2]
+
+
+def test_graph_alpha_invariances():
+    # a vertical translation, a lateral one by whole nodes, and a relabelling
+    # of the rows by one strip (a vertical translation by 1/k) keep alpha
+    base, gp = _perturbed(2, 0.3, 3)
+    a = graph_alpha(gp)
+    for moved in (gp.psi + 0.02, np.roll(gp.psi, 5, axis=1), np.roll(gp.psi, 2, axis=0)):
+        assert abs(graph_alpha(GraphPerturbation(base, moved)) - a) <= 1e-14 * a
+
+
+def test_graph_alpha_of_one_cosine():
+    # psi_0 = eps cos 2 pi x over a flat row: median 0, alpha = eps int |cos| =
+    # 2 eps / pi; the rectangle rule on 2048 nodes sits pi^2/(3 2048^2) below
+    eps = 0.01
+    for n0 in (7, 16, 64):
+        psi = np.zeros((2, n0))
+        psi[0] = eps * np.cos(2 * np.pi * np.arange(n0) / n0)
+        got = graph_alpha(GraphPerturbation(lamella(1, 0.0), psi))
+        assert abs(got - 2 * eps / np.pi) <= 1e-6 * (2 * eps / np.pi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graph_alpha_matches_the_median_rule_on_8192_nodes(k):
+    # the rule evaluated on the cardinal interpolant at 8192 nodes; graph_alpha's
+    # rectangle rule on 2048 nodes errs by at most h^2 |psi'| / 4 per kink of
+    # |psi - tau|, h = 1/2048 (the median's own shift is second order)
+    _, gp = _perturbed(k, 0.0, k)
+    x = np.arange(8192) / 8192
+    h = _cardinal_interpolant(gp.psi, x)
+    tau = np.median(h)
+    want = np.abs(h - tau).mean(axis=1).sum()
+    kinks = np.sign(h - tau) != np.sign(np.roll(h - tau, -1, axis=1))
+    bar = np.abs(_cardinal_interpolant(gp.psi, x, 1))[kinks].sum() / (4 * 2048**2)
+    assert abs(graph_alpha(gp) - want) <= bar
+    assert bar < 1e-5 * want
 
 def test_boundary_mesh_droplet():
     mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 128)
