@@ -19,7 +19,7 @@ from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                      Lamella, alpha_distance, boundary_mesh, graph_alpha, lamella,
                      perimeter_exact, perimeter_grid, rasterize,
                      recenter_translation, volume_fraction)
-from .energy import (EnergyBreakdown, el_residual, energy, graph_energy,
+from .energy import (EnergyBreakdown, el_residual, graph_energy,
                      isoperimetric_compare, lamella_closed_form,
                      nonlocal_lipschitz_check, optimal_strip_count,
                      strip_disc_crossing)

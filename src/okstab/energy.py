@@ -17,8 +17,8 @@ import numpy as np
 from .config import DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
                      ShapeConfig, perimeter_exact, perimeter_grid, rasterize)
-from .torus import (ScalarField, TorusGrid, ValidationError, _wavenumbers, make_grid,
-                    solve_poisson_periodic, spectral_gradient, trig_interpolate)
+from .torus import (ScalarField, TorusGrid, ValidationError, _check_count, _wavenumbers,
+                    make_grid, trig_interpolate)
 
 
 def _check_gamma(gamma: float):
@@ -50,8 +50,10 @@ def nonlocal_energy_field(u: ScalarField) -> float:
 
 class GridPotential:
     """Potential v of a shape's indicator rasterized on a torus grid (default
-    256^2 in 2D, 64^3 in 3D), rasterized and solved once, on first use; v and
-    its normal derivative reach a mesh by trigonometric interpolation."""
+    256^2 in 2D, 64^3 in 3D), rasterized and transformed once, on first use,
+    and only that spectrum uhat kept.  v and its gradient are built from
+    vhat = uhat L^-1 (L^-1 is 0 at the zero mode, so v is mean-zero) and
+    reach a mesh by trigonometric interpolation."""
 
     def __init__(self, shape: ShapeConfig, grid: TorusGrid | None = None):
         n = DEFAULT_FIELD_GRID if shape.dim < 3 else 64
@@ -59,23 +61,24 @@ class GridPotential:
         self.grid = grid if grid is not None else make_grid(shape.dim, (n,) * shape.dim)
 
     @functools.cached_property
-    def _u(self) -> ScalarField:
-        return rasterize(self.shape, self.grid)
-
-    @functools.cached_property
-    def _v(self) -> ScalarField:
-        u = self._u
-        return solve_poisson_periodic(ScalarField._adopt(self.grid, u.values - u.mean()))
+    def _uh(self) -> np.ndarray:
+        return rasterize(self.shape, self.grid).spectrum
 
     def on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
-        return trig_interpolate(self._v, mesh.points)
+        vh = self._uh * self.grid.inverse_laplacian()
+        return trig_interpolate(ScalarField._from_spectrum(self.grid, vh), mesh.points)
 
     def dnv_on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
-        return sum(trig_interpolate(c, mesh.points) * nu     # one component
-                   for c, nu in zip(spectral_gradient(self._v), mesh.normals.T))
+        g, out = self.grid, 0.0
+        vh = self._uh * g.inverse_laplacian()
+        for n, k, nu in zip(g.sizes, g.half_wavenumbers(), mesh.normals.T):
+            k = np.where(2 * np.abs(k) == n, 0.0, k)     # a Nyquist mode has no derivative
+            dv = ScalarField._from_spectrum(g, 2j * np.pi * k * vh)     # d v / d x_c
+            out = out + trig_interpolate(dv, mesh.points) * nu
+        return out
 
     def dirichlet_energy(self) -> float:
-        return nonlocal_energy_field(self._u)
+        return self.grid.parseval(self.grid.inverse_laplacian(), self._uh)
 
 
 def potential(shape: ShapeConfig, grid: TorusGrid | None = None):
@@ -115,8 +118,7 @@ def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
 def optimal_strip_count(m: float, gamma: float, k_max: int = 10_000) -> int:
     """argmin over k >= 1 of the closed-form lamella energy (ties -> smaller k)."""
     _check_gamma(gamma)
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
-        raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
+    _check_count("k_max", k_max, 1)
     a = Lamella(k=1, m=m, axis=0, dim=1).a  # validates m
     c = gamma * a * a * (1.0 - a) ** 2 / 3.0
 
@@ -262,10 +264,8 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     rasterized pipeline this is differentiable in the heights, which
     finite-difference energy checks require.
     """
-    if n_lat < 2:
-        raise ValidationError(f"n_lat must be >= 2, got {n_lat}")
-    if q2_modes < 1:
-        raise ValidationError(f"q2_modes must be >= 1, got {q2_modes}")
+    _check_count("n_lat", n_lat, 2)
+    _check_count("q2_modes", q2_modes, 1)
     hts = gp.heights(n_lat)                      # (2k, n_lat)
     # q2 = 0 row: lateral variation of the strip widths
     row0 = 2.0 * ((hts[1::2] - hts[0::2]) % 1.0).sum(axis=0)

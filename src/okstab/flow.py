@@ -20,7 +20,7 @@ import numpy as np
 from .config import TOLERANCES
 from .shapes import Lamella, rasterize
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
-                    make_grid)
+                    _check_count, make_grid)
 
 GAMMA0_FACTOR = 16.0 / 3.0   # gamma0 = (16/3) gamma
 
@@ -140,8 +140,7 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
              max_steps: int, stop_tol: float = 0.0) -> FlowState:
     """Iterate flow_step until the projected gradient is below stop_tol or
     max_steps is reached; the final state records which in stop_reason."""
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
+    _check_count("max_steps", max_steps, 0)
     if not stop_tol >= 0:
         raise ValidationError(f"stop_tol must be >= 0, got {stop_tol}")
     state = FlowState(u0.copy(), epsilon, gamma0, dt=dt)
@@ -183,6 +182,8 @@ def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048) -> float:
     The continuum value is 8/3.
     """
     eps_list = sorted(epsilon_list, reverse=True)
+    if not eps_list:
+        raise ValidationError("epsilon_list must hold at least one epsilon")
     grid = make_grid(1, (n,))
     costs = []
     for eps in eps_list:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLERANCES, read_key_values
-from .torus import ScalarField, TorusGrid, ValidationError, green_kernel_screened
+from .torus import (ScalarField, TorusGrid, ValidationError, _check_count,
+                    green_kernel_screened)
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +33,7 @@ class Lamella:
     dim: int = 2
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValidationError(f"strip count k must be an integer >= 1, got {self.k!r}")
+        _check_count("strip count k", self.k, 1)
         if not -1.0 < self.m < 1.0:
             raise ValidationError("m must lie in (-1, 1)")
         a = self.a
@@ -266,11 +266,10 @@ def perimeter_grid(u: ScalarField) -> float:
     g = u.grid
     if g.dim != 2:
         raise ValidationError("grid perimeter implemented for T^2 only")
-    vals = u.values
-    if np.all(vals > 0) or np.all(vals < 0):
+    if np.all(u.values > 0) or np.all(u.values < 0):
         return 0.0
     sig = 2.0 * max(g.spacing)
-    f = g.irfft(g.rfft(vals) * np.exp(-2.0 * np.pi**2 * sig**2 * g.ksq()))
+    f = g.irfft(u.spectrum * np.exp(-2.0 * np.pi**2 * sig**2 * g.ksq()))
     return _marching_squares_length(f, g)
 
 
@@ -376,8 +375,7 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
     A component is (points, normals, curvature, speeds); its arc-length
     weights are speeds / n_points.
     """
-    if n_points < 64:
-        raise ValidationError("n_points must be >= 64")
+    _check_count("n_points", n_points, 64)
     if shape.dim != 2:
         raise ValidationError("boundary meshes are 2D only")
     t = np.arange(n_points) / n_points

@@ -23,8 +23,8 @@ from .config import TOLERANCES
 from .energy import (_check_gamma, graph_energy, potential,
                      volume_corrected_perturbation)
 from .shapes import BoundaryMesh, GraphPerturbation, Lamella, periodic_samples
-from .torus import (NumericalError, ValidationError, green2d_self_regularized,
-                    green_function_2d, green_kernel_screened)
+from .torus import (NumericalError, ValidationError, _check_count,
+                    green2d_self_regularized, green_function_2d, green_kernel_screened)
 
 _GREEN_CHUNK = 4096   # node pairs per green_function_2d call (~0.3 MB temporaries)
 
@@ -54,8 +54,7 @@ class LamellaModeMatrix:
 def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMatrix:
     """Dense M(q) = 4 pi^2 q^2 I + gamma A(q), A(q) = 8 K(q) + 4 dnv I; the
     mode scan works on the Bloch blocks of A(q) and is checked against it."""
-    if not (isinstance(q, (int, np.integer)) and q >= 0):
-        raise ValidationError(f"q must be an integer >= 0, got {q!r}")
+    _check_count("q", q, 0)
     _check_gamma(gamma)
     shape = Lamella(k=k, m=m, axis=0, dim=1)
     pos, _ = shape.interfaces()
@@ -160,8 +159,7 @@ def stability_threshold_gamma(m: float, k: int,
 def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:
     """Smallest k0 <= k_max with positive minimal eigenvalue for every
     k in [k0, k_max]."""
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
-        raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
+    _check_count("k_max", k_max, 1)
     eigs = [lamella_min_eigenvalue(k, m, gamma).min_eigenvalue
             for k in range(1, k_max + 1)]
     k0 = None
@@ -387,9 +385,8 @@ def finite_difference_check(base: Lamella, psi: np.ndarray, gamma: float,
     sign times vertical height); the reported Richardson value
     extrapolates the two smallest step sizes.
     """
-    for t in t_list:
-        if not (np.isfinite(t) and t > 0):
-            raise ValidationError(f"t must be positive and finite, got {t!r}")
+    if len(t_list) == 0 or not all(np.isfinite(t) and t > 0 for t in t_list):
+        raise ValidationError(f"t_list must be steps t > 0 and finite, got {t_list!r}")
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     _, sgn = base.interfaces()
     j0 = graph_energy(GraphPerturbation(base, 0.0 * psi), gamma).total

@@ -6,10 +6,12 @@ the two-dimensional torus Green function as a series in the minimum image.
 
 Conventions: the torus is [0,1)^d with unit volume; samples live at cell
 centers x_j = (j + 1/2) h.  Fields are transformed to the rfftn half
-spectrum (last axis: wavenumbers 0..n/2).  Only TorusGrid knows this layout:
-rfft/irfft, parseval (full-spectrum sums) and ksq, the |xi|^2 built once per
-grid and returned read-only.  The zero Fourier mode of every Poisson
-solution is forced to exactly 0 (mean-zero potentials).
+spectrum (last axis: wavenumbers 0..n/2), the only layout of a grid field,
+whose one forward transform is its cached ScalarField.spectrum.  Only
+TorusGrid knows this layout: rfft/irfft, parseval (full-spectrum sums) and
+ksq, the |xi|^2 built once per grid and returned read-only.  The zero
+Fourier mode of every Poisson solution is forced to exactly 0 (mean-zero
+potentials).
 """
 
 from __future__ import annotations
@@ -158,16 +160,18 @@ class ScalarField:
         return ScalarField(self.grid, self.values)
 
 
+def _check_count(name: str, value, low: int):
+    """Reject a count that is not an integer >= low, naming it."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def make_grid(dim: int, sizes) -> TorusGrid:
-    """Build a periodic grid; rejects under-resolved axes."""
+    """Build a periodic grid; rejects sizes that are not integers or are
+    under-resolved."""
+    if not all(isinstance(n, (int, np.integer)) for n in sizes):
+        raise ValidationError(f"sizes must be integers, got {tuple(sizes)!r}")
     return TorusGrid(dim, tuple(int(n) for n in sizes))
-
-
-def _check_mean_zero(f: ScalarField):
-    scale = max(1.0, float(np.abs(f.values).max()))
-    if abs(f.mean()) > TOLERANCES.mean_zero * scale:
-        raise ValidationError(
-            f"source must be mean-zero (mean = {f.mean():.3e}); subtract the mean first")
 
 
 def solve_poisson_periodic(f: ScalarField) -> ScalarField:
@@ -176,25 +180,17 @@ def solve_poisson_periodic(f: ScalarField) -> ScalarField:
     Fourier coefficients are divided by 4 pi^2 |xi|^2; the zero mode is set
     to exactly 0.  The source must be mean-zero.
     """
-    _check_mean_zero(f)
+    if abs(f.mean()) > TOLERANCES.mean_zero * max(1.0, float(np.abs(f.values).max())):
+        raise ValidationError(
+            f"source must be mean-zero (mean = {f.mean():.3e}); subtract the mean first")
     g = f.grid
-    return ScalarField._adopt(g, g.irfft(g.rfft(f.values) * g.inverse_laplacian()))
-
-
-def spectral_gradient(v: ScalarField):
-    """Spectral gradient components, yielded one at a time; an even axis's
-    Nyquist mode is dropped."""
-    g = v.grid
-    vh = g.rfft(v.values)
-    for n, k in zip(g.sizes, g.half_wavenumbers()):
-        k = np.where(2 * np.abs(k) == n, 0.0, k)
-        yield ScalarField._adopt(g, g.irfft(2j * np.pi * k * vh))
+    return ScalarField._from_spectrum(g, f.spectrum * g.inverse_laplacian())
 
 
 def dirichlet_energy(v: ScalarField) -> float:
     """int |grad v|^2 by the Parseval sum sum 4 pi^2 |xi|^2 |vhat|^2."""
     g = v.grid
-    return g.parseval(4.0 * np.pi**2 * g.ksq(), g.rfft(v.values))
+    return g.parseval(4.0 * np.pi**2 * g.ksq(), v.spectrum)
 
 
 def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -203,14 +199,19 @@ def trig_interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     points: array (npts, dim) (or (npts,) in 1D).  Accounts for the
     half-cell offset of cell-center sampling.  The -n/2 coefficient of an
     even axis is split evenly between -n/2 and +n/2, so the Nyquist mode is
-    the cosine through the samples on every axis and at every corner.
+    the cosine through the samples on every axis and at every corner.  The
+    coefficients come from the field's cached spectrum (see ScalarField).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if v.grid.dim == 1 and pts.shape[1] != 1:
         pts = pts.reshape(-1, 1)
     if pts.shape[1] != v.grid.dim:
         raise ValidationError("point dimension does not match grid")
-    coef = np.fft.fftn(v.values) / v.grid.num_cells
+    # last-axis columns n//2 + 1 .. n - 1 from c[k] = conj(c[-k]), -k by index
+    spec, n = v.spectrum, v.grid.sizes[-1]
+    flip = np.ix_(*[-np.arange(m) % m for m in v.grid.sizes[:-1]])
+    coef = np.concatenate([spec, np.conj(spec[..., (n + 1) // 2 - 1:0:-1])[flip]], axis=-1)
+    coef /= v.grid.num_cells
     # shift coefficients so that modes are e^{2 pi i n x} in physical coordinates
     operands = []
     for axis, n in enumerate(v.grid.sizes):

@@ -1,11 +1,16 @@
 """Independent oracles and helpers shared by the test modules."""
 
+import collections
 import tracemalloc
 
 import numpy as np
 
-from okstab.shapes import GraphPerturbation, Lamella, LamellaPotential
-from okstab.torus import ScalarField, green_kernel_screened, make_grid
+from okstab.shapes import GraphPerturbation, Lamella, LamellaPotential, rasterize
+from okstab.torus import (ScalarField, green_kernel_screened, make_grid,
+                          solve_poisson_periodic)
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
 def traced_peak(call):
@@ -17,6 +22,77 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_transforms(call) -> dict:
+    """{name: calls} of every np.fft entry point that one call makes."""
+    calls = collections.Counter()
+    saved = {name: getattr(np.fft, name) for name in FFT_ENTRY_POINTS}
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.update([name]) or fn(*a, **kw)
+    try:
+        for name, fn in saved.items():
+            setattr(np.fft, name, counted(name, fn))
+        call()
+    finally:
+        for name, fn in saved.items():
+            setattr(np.fft, name, fn)
+    return dict(calls)
+
+
+def _fft_wavenumbers(n: int) -> np.ndarray:
+    """Integer wavenumbers in full-FFT order, 0..n/2-1 then -n/2..-1."""
+    return ((np.arange(n) + n // 2) % n - n // 2).astype(float)
+
+
+def trig_interpolate_full(v: ScalarField, points: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolant of a field's values at points (npts, dim) from
+    the full complex fftn of the values; the -n/2 coefficient of an even axis
+    is split evenly between -n/2 and +n/2."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = v.grid.dim
+    if dim == 1 and pts.shape[1] != 1:
+        pts = pts.reshape(-1, 1)
+    coef = np.fft.fftn(v.values) / v.grid.num_cells
+    operands = []
+    for axis, n in enumerate(v.grid.sizes):
+        k = _fft_wavenumbers(n)
+        if n % 2 == 0:
+            coef = np.take(coef, np.append(np.arange(n), n // 2), axis=axis)
+            k = np.append(k, n // 2)
+        shift = np.exp(-2j * np.pi * k * (0.5 / n))   # cell-centre offset
+        shape = [1] * dim
+        shape[axis] = len(k)
+        coef *= (np.where(2 * np.abs(k) == n, 0.5, 1.0) * shift).reshape(shape)
+        operands += [np.exp(2j * np.pi * np.outer(pts[:, axis], k)), [dim, axis]]
+    operands[2:2] = [coef, list(range(dim))]   # e_0, coef, e_1, ...
+    return np.real(np.einsum(*operands, [dim]))
+
+
+def spectral_gradient(v: ScalarField) -> list[np.ndarray]:
+    """Gradient components of a field's values by rfftn of the values; an
+    even axis's Nyquist mode is dropped."""
+    sizes = v.grid.sizes
+    vh = np.fft.rfftn(v.values)
+    ks = [_fft_wavenumbers(n) for n in sizes[:-1]]
+    ks.append(np.arange(sizes[-1] // 2 + 1, dtype=float))
+    out = []
+    for n, k in zip(sizes, np.meshgrid(*ks, indexing="ij", sparse=True)):
+        k = np.where(2 * np.abs(k) == n, 0.0, k)
+        out.append(np.fft.irfftn(2j * np.pi * k * vh, s=sizes, axes=range(len(sizes))))
+    return out
+
+
+def grid_potential_chain(shape, grid, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """(v, d_nu v) at a mesh's nodes for the shape's indicator rasterized on
+    grid: the mean-subtracted Poisson solve, the gradient of the solution's
+    values by spectral_gradient, and trig_interpolate_full of each."""
+    u = rasterize(shape, grid)
+    v = solve_poisson_periodic(ScalarField(grid, u.values - u.mean()))
+    dnv = sum(trig_interpolate_full(ScalarField(grid, c), mesh.points) * nu
+              for c, nu in zip(spectral_gradient(v), mesh.normals.T))
+    return trig_interpolate_full(v, mesh.points), dnv
 
 
 def interface_normal_derivative(pot: LamellaPotential) -> np.ndarray:

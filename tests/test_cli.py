@@ -382,8 +382,9 @@ def test_library_runs_without_scipy():
         import sys
         import numpy as np
         from okstab import (Droplet, assemble_boundary_form, boundary_mesh,
-                            constrained_min_eig, el_residual, energy, make_grid,
+                            constrained_min_eig, el_residual, make_grid,
                             rasterize, strip_disc_crossing)
+        from okstab.energy import energy
         g = make_grid(2, (32, 32))
         energy(rasterize(Droplet((0.5, 0.5), 0.2), g), 1.0)
         mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)

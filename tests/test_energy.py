@@ -5,17 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from okstab.energy import (EnergyBreakdown, _mode_weights, el_residual, energy,
-                           graph_energy, graph_nonlocal_energy,
+from okstab.energy import (EnergyBreakdown, GridPotential, _mode_weights, el_residual,
+                           energy, graph_energy, graph_nonlocal_energy,
                            isoperimetric_compare, lamella_closed_form,
                            nonlocal_energy_field, nonlocal_lipschitz_check,
                            optimal_strip_count, strip_disc_crossing,
                            volume_corrected_perturbation)
-from okstab.shapes import (Droplet, GraphPerturbation, Lamella, boundary_mesh,
-                           lamella, rasterize)
-from okstab.stability import lamella_mode_matrix
+from okstab.flow import profile_constant, run_flow
+from okstab.shapes import (BoundaryMesh, Droplet, GraphPerturbation, Lamella,
+                           boundary_mesh, lamella, rasterize)
+from okstab.stability import (assemble_boundary_form, finite_difference_check,
+                              lamella_mode_matrix)
 from okstab.torus import ScalarField, ValidationError, make_grid
-from oracles import lamella_source_field
+from oracles import (count_transforms, grid_coords, grid_potential_chain,
+                     lamella_source_field)
 
 
 def test_breakdown_additivity():
@@ -376,12 +379,88 @@ def test_graph_nonlocal_allocates_one_chunk_not_the_mode_table():
 
 @pytest.mark.parametrize("kwargs, name", [({"n_lat": 1}, "n_lat"),
                                           ({"q2_modes": 0}, "q2_modes"),
-                                          ({"q2_modes": -3}, "q2_modes")])
+                                          ({"q2_modes": -3}, "q2_modes"),
+                                          ({"q2_modes": 2.5}, "q2_modes")])
 def test_graph_energy_rejects_bad_sizes(kwargs, name):
     gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
     for fn, args in ((graph_nonlocal_energy, ()), (graph_energy, (1.0,))):
         with pytest.raises(ValidationError, match=name):
             fn(gp, *args, **kwargs)
+
+
+_FLAT = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: run_flow(ScalarField(make_grid(1, (16,)), np.zeros(16)), 0.1, 0.0, 1e-3,
+                      max_steps=1.5), "max_steps"),
+    (lambda: graph_nonlocal_energy(_FLAT, n_lat=2.5), "n_lat"),
+    (lambda: boundary_mesh(lamella(1, 0.0), 100.5), "n_points"),
+    (lambda: finite_difference_check(lamella(1, 0.0), np.zeros((2, 8)), 1.0, t_list=()),
+     "t_list"),
+    (lambda: profile_constant(()), "epsilon_list")],
+    ids=["run_flow", "graph_nonlocal_energy", "boundary_mesh",
+         "finite_difference_check", "profile_constant"])
+def test_counts_that_are_not_whole_or_empty_are_named(call, name):
+    # unchecked, each raises a TypeError or IndexError that names nothing
+    with pytest.raises(ValidationError, match=name):
+        call()
+
+
+_DROPLETS = [Droplet((0.43, 0.57), 0.22), Droplet((0.9, 0.05), 0.2),
+             GraphPerturbation(lamella(1, 0.1), 0.02 * np.cos(
+                 2 * np.pi * np.outer([1, 2], np.arange(16)) / 16))]
+
+
+@pytest.mark.parametrize("shape, n", [(_DROPLETS[0], 256), (_DROPLETS[1], 64),
+                                      (_DROPLETS[2], 128)],
+                         ids=["droplet256", "droplet64-wrapped", "graph"])
+def test_grid_potential_matches_the_full_fft_chain(shape, n):
+    # v and d_nu v from the indicator's one half spectrum against the solve,
+    # rfftn gradient and full complex fftn interpolation of each component
+    mesh = boundary_mesh(shape, n)
+    pot = GridPotential(shape)
+    v, dnv = grid_potential_chain(shape, pot.grid, mesh)
+    assert np.abs(pot.on_mesh(mesh) - v).max() <= 1e-12 * np.abs(v).max()
+    assert np.abs(pot.dnv_on_mesh(mesh) - dnv).max() <= 1e-12 * np.abs(dnv).max()
+
+
+def test_grid_potential_gradient_modes():
+    # odd and even axes; the mode at the Nyquist frequency of the even axis
+    # has no derivative along that axis, only along the other one.  The
+    # indicator's spectrum is replaced by that of -Lap v, v = sin a1 + sin a2
+    g = make_grid(2, (16, 15))
+    X, Y = grid_coords(g)
+    a1 = 2 * np.pi * (3 * X - 2 * Y)
+    a2 = 2 * np.pi * (8 * X + 3 * Y)
+    pot = GridPotential(Droplet((0.5, 0.5), 0.2), g)
+    pot._uh = ScalarField(g, 4 * np.pi**2 * (13 * np.sin(a1) + 73 * np.sin(a2))).spectrum
+    n = g.num_cells
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
+
+    def nodes_facing(normal):
+        return BoundaryMesh(nodes, np.tile(normal, (n, 1)), np.zeros(n), np.ones(n),
+                            [(0, n)], np.ones(n), None)
+    gx = pot.dnv_on_mesh(nodes_facing([1.0, 0.0])).reshape(g.sizes)
+    gy = pot.dnv_on_mesh(nodes_facing([0.0, 1.0])).reshape(g.sizes)
+    assert np.abs(gx - 6 * np.pi * np.cos(a1)).max() < 1e-12
+    assert np.abs(gy + 4 * np.pi * np.cos(a1) - 6 * np.pi * np.cos(a2)).max() < 1e-12
+    v = pot.on_mesh(nodes_facing([1.0, 0.0])).reshape(g.sizes)
+    assert np.abs(v - np.sin(a1) - np.sin(a2)).max() < 1e-12
+
+
+def test_grid_potential_transforms_the_indicator_once():
+    # grid_potential_chain's d_nu v runs rfftn, irfftn, rfftn, irfftn, fftn,
+    # irfftn, fftn; the boundary form adds one rfft/irfft pair of its own
+    shape = Droplet((0.43, 0.57), 0.22)
+    mesh = boundary_mesh(shape, 256)
+    assert count_transforms(lambda: GridPotential(shape).dnv_on_mesh(mesh)) == {
+        "rfftn": 1, "irfftn": 2}
+    assert count_transforms(lambda: assemble_boundary_form(mesh, 1.5)) == {
+        "rfftn": 1, "irfftn": 2, "rfft": 1, "irfft": 1}
+    assert count_transforms(lambda: el_residual(mesh, 1.5)) == {"rfftn": 1, "irfftn": 1}
+    u = rasterize(shape, make_grid(2, (128, 128)))
+    assert count_transforms(lambda: energy(u, 1.0)) == {"rfftn": 1, "irfftn": 1}
 
 
 def test_volume_corrected_perturbation():

@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okstab.energy import lamella_closed_form
-from okstab.config import DEFAULT_FIELD_GRID
+from okstab.energy import GridPotential, lamella_closed_form
 from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
-                           periodic_samples, rasterize)
+                           periodic_samples)
 from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               _log_quadrature_block, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
                               lamella_mode_matrix, stability_threshold_gamma,
                               stability_threshold_k)
-from okstab.torus import (NumericalError, ScalarField, ValidationError,
-                          green2d_self_regularized, green_function_2d, make_grid,
-                          solve_poisson_periodic, spectral_gradient, trig_interpolate)
+from okstab.torus import (NumericalError, ValidationError, green2d_self_regularized,
+                          green_function_2d)
 from oracles import interface_normal_derivative, traced_peak, translation_form_value
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
@@ -271,13 +269,8 @@ def _all_pairs_form(mesh, gamma):
         A += 8.0 * gamma * G
         if isinstance(mesh.shape, Lamella):
             dnv = mesh.shape.dnv
-        else:
-            g = make_grid(2, (DEFAULT_FIELD_GRID,) * 2)
-            u = rasterize(mesh.shape, g)
-            v = solve_poisson_periodic(ScalarField(g, u.values - u.mean()))
-            gx, gy = spectral_gradient(v)
-            dnv = (trig_interpolate(gx, mesh.points) * mesh.normals[:, 0]
-                   + trig_interpolate(gy, mesh.points) * mesh.normals[:, 1])
+        else:   # checked against grid_potential_chain in test_energy.py
+            dnv = GridPotential(mesh.shape).dnv_on_mesh(mesh)
         A += 4.0 * gamma * np.diag(W * dnv)
     return 0.5 * (A + A.T), 0.5 * (H1 + H1.T)
 

@@ -10,9 +10,10 @@ from okstab.torus import (ScalarField, ValidationError, _wavenumbers,
                           dirichlet_energy, green2d_self_regularized,
                           green_function_2d, green_kernel_screened, load_field,
                           make_grid, save_field, solve_poisson_periodic,
-                          spectral_gradient, trig_interpolate)
-from oracles import (green2d_screened, green2d_screened_self_regularized,
-                     grid_coords, laplacian, traced_peak)
+                          trig_interpolate)
+from oracles import (count_transforms, green2d_screened,
+                     green2d_screened_self_regularized, grid_coords, laplacian,
+                     traced_peak, trig_interpolate_full)
 
 
 def test_grid_basics():
@@ -23,6 +24,15 @@ def test_grid_basics():
         make_grid(2, (4, 256))
     with pytest.raises(ValidationError):
         make_grid(4, (16, 16, 16, 16))
+
+
+def test_make_grid_rejects_sizes_that_are_not_integers():
+    # int() would truncate (64.7, 64.7) to a 64^2 grid
+    for sizes in [(64.7, 64.7), (64.0, 64), (16, "16")]:
+        with pytest.raises(ValidationError, match="sizes"):
+            make_grid(2, sizes)
+    assert make_grid(2, np.array([16, 24])).sizes == (16, 24)
+    assert make_grid(1, (np.int32(12),)).sizes == (12,)
 
 
 def test_poisson_single_mode():
@@ -358,14 +368,33 @@ def test_wavenumbers_are_integers_at_every_size():
         assert np.array_equal(_wavenumbers(n, half=True), np.fft.rfftfreq(n, 1.0 / n))
 
 
-def test_spectral_gradient_modes():
-    # odd and even axes; the mode at the Nyquist frequency of the even axis
-    # has no derivative along that axis, only along the other one
-    g = make_grid(2, (16, 15))
-    X, Y = grid_coords(g)
-    a1 = 2 * np.pi * (3 * X - 2 * Y)
-    a2 = 2 * np.pi * (8 * X + 3 * Y)
-    gx, gy = spectral_gradient(ScalarField(g, np.sin(a1) + np.sin(a2)))
-    assert np.abs(gx.values - 6 * np.pi * np.cos(a1)).max() < 1e-12
-    assert np.abs(gy.values + 4 * np.pi * np.cos(a1)
-                  - 6 * np.pi * np.cos(a2)).max() < 1e-12
+@pytest.mark.parametrize("sizes", [(16,), (17,), (16, 15), (15, 16), (9, 9),
+                                   (8, 9, 10), (9, 11, 8), (10, 12, 14)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_trig_interpolation_matches_the_full_fft_oracle(sizes):
+    # the coefficients come from the cached half spectrum, extended by
+    # Hermitian symmetry, not from a complex fftn of the values
+    rng = np.random.default_rng(len(sizes) * 100 + sizes[-1])
+    g = make_grid(len(sizes), sizes)
+    f = ScalarField(g, rng.standard_normal(sizes))
+    pts = rng.random((50, len(sizes)))
+    got = []
+    assert count_transforms(lambda: got.append(trig_interpolate(f, pts))) == {"rfftn": 1}
+    assert count_transforms(lambda: trig_interpolate(f, pts)) == {}    # cached
+    want = trig_interpolate_full(f, pts)
+    assert np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_poisson_solution_keeps_its_spectrum():
+    # one forward transform of the source and one inverse for the values;
+    # the Dirichlet energy reads the solution's spectrum
+    rng = np.random.default_rng(8)
+    g = make_grid(2, (48, 50))
+    x = rng.standard_normal(g.sizes)
+    f = ScalarField(g, x - x.mean())
+    n = count_transforms(lambda: dirichlet_energy(solve_poisson_periodic(f)))
+    assert n == {"rfftn": 1, "irfftn": 1}
+    v = solve_poisson_periodic(f)
+    assert np.array_equal(v.spectrum, f.spectrum * g.inverse_laplacian())
+    assert not v.values.flags.writeable
+    assert np.abs(-laplacian(v) - f.values).max() < 1e-12 * np.abs(f.values).max()
