@@ -14,11 +14,10 @@ except config.ValidationError as exc:
 
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     dirichlet_energy, green_function_2d, green_kernel_screened,
-                    load_field, make_grid, save_field, solve_poisson_periodic)
+                    make_grid, solve_poisson_periodic)
 from .shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                      Lamella, alpha_distance, boundary_mesh, graph_alpha, lamella,
-                     perimeter_exact, perimeter_grid, rasterize,
-                     recenter_translation, volume_fraction)
+                     perimeter_exact, perimeter_grid, rasterize)
 from .energy import (EnergyBreakdown, el_residual, graph_energy,
                      isoperimetric_compare, lamella_closed_form,
                      nonlocal_lipschitz_check, optimal_strip_count,

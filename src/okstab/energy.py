@@ -115,21 +115,25 @@ def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
     return EnergyBreakdown(2.0 * k, a * a * (1.0 - a) ** 2 / (3.0 * k * k), gamma)
 
 
-def optimal_strip_count(m: float, gamma: float, k_max: int = 10_000) -> int:
-    """argmin over k >= 1 of the closed-form lamella energy (ties -> smaller k)."""
+def optimal_strip_count(m: float, gamma: float) -> int:
+    """argmin over k >= 1 of the closed-form lamella energy 2k + c/k^2,
+    c = gamma a^2 (1-a)^2 / 3, ties -> smaller k.  The energy is convex in k
+    with continuous minimizer k* = c^(1/3), so the argmin is floor(k*) or
+    ceil(k*): step up from floor(k*) - 1 (rounding of k*) while the energy
+    falls, E(k) > E(k+1) <=> c (2k+1) > 2 k^2 (k+1)^2, compared in exact
+    integers since adjacent energies agree to ~1/k relative."""
     _check_gamma(gamma)
-    _check_count("k_max", k_max, 1)
     a = Lamella(k=1, m=m, axis=0, dim=1).a  # validates m
     c = gamma * a * a * (1.0 - a) ** 2 / 3.0
-
-    def total(k):
-        return 2.0 * k + c / (k * k)
-
-    k_star = min(k_max, max(1, int(round((c) ** (1.0 / 3.0))) if c > 0 else 1))
-    lo = max(1, k_star - 3)
-    hi = min(k_max, k_star + 3)
-    best = min(range(lo, hi + 1), key=lambda k: (total(k), k))
-    return best
+    k_star = float(np.cbrt(c))
+    if k_star > 2.0**52:
+        raise ValidationError(f"gamma = {gamma!r} puts the optimal strip count near "
+                              f"{k_star:.3e}, beyond the 2^52 that float64 resolves")
+    p, r = c.as_integer_ratio()
+    k = max(1, math.floor(k_star) - 1)
+    while p * (2 * k + 1) > 2 * r * (k * (k + 1)) ** 2:
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

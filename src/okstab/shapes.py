@@ -229,11 +229,6 @@ def _graph_mask(gp: GraphPerturbation, grid: TorusGrid):
     return inside if ax == 1 else inside.T
 
 
-def volume_fraction(u: ScalarField) -> float:
-    """Grid mean of u (the parameter m of the configuration)."""
-    return u.mean()
-
-
 # ---------------------------------------------------------------------------
 # perimeters
 # ---------------------------------------------------------------------------
@@ -412,26 +407,6 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
     return BoundaryMesh(points, normals, curvature, speeds / n_points,
                         [(i * n_points, (i + 1) * n_points) for i in range(len(parts))],
                         speeds, shape)
-
-
-# ---------------------------------------------------------------------------
-# recentering (first translation step of the graph parametrization)
-# ---------------------------------------------------------------------------
-
-def recenter_translation(psi: np.ndarray, base: Lamella) -> np.ndarray:
-    """First-step recentering shift for a graph perturbation of a lamella.
-
-    For lamellae only the stack axis carries a nonzero translation
-    functional; the shift equals the mean height averaged over interfaces.
-    Subtracting it zeroes the boundary integral of (normal height) * nu.
-    """
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    if psi.shape[0] != 2 * base.k:
-        raise ValidationError("psi needs 2k rows")
-    sigma = psi.mean()
-    shift = np.zeros(base.dim)
-    shift[base.axis] = sigma
-    return shift
 
 
 # ---------------------------------------------------------------------------

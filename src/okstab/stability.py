@@ -184,16 +184,14 @@ class QuadraticFormMatrix:
     """Dense symmetric form over boundary-node values with its quadrature.
 
     `matrix` is the second-variation form, `weights` the arc-length
-    quadrature, `h1` the H^1 Gram matrix (tangential-derivative energy plus
-    mass), `constraints` the rows of the linear functionals to project out
-    (total mean and the active translation functionals in the frame that
-    diagonalizes a_ij = int nu_i nu_j).
+    quadrature (the L^2 mass of the Rayleigh quotient), `constraints` the
+    rows of the linear functionals to project out (total mean and the active
+    translation functionals in the frame that diagonalizes
+    a_ij = int nu_i nu_j).
     """
     matrix: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    h1: np.ndarray = field(repr=False)
     constraints: np.ndarray = field(repr=False)
-    frame: np.ndarray = field(repr=False)
     mesh: BoundaryMesh = None
 
     def __post_init__(self):
@@ -234,7 +232,7 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     component), -kappa^2 mass term, 8 gamma double-layer of the torus Green
     function with the log singularity handled by a trig-exact product
     quadrature on the self panels, and the 4 gamma (normal derivative of v)
-    mass term.  Memory: at most four n x n arrays at once (35 MB for a k=2
+    mass term.  Memory: at most three n x n arrays at once (21 MB for a k=2
     lamella, 256 nodes per interface); the Green function takes _GREEN_CHUNK
     node pairs at a time, other temporaries are per component or O(n).
     """
@@ -247,7 +245,6 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     A = np.zeros((n, n))
 
     # Dirichlet + curvature blocks, per component
-    H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
         Dtau = periodic_samples(np.eye(nc), nc, 1) / mesh.speeds[i0:i1][:, None]
@@ -260,7 +257,6 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
             coeff = (np.pi * nc) ** 2 * 0.5 * inv_sp / nc**2
             block += coeff * np.outer(e, e)
         A[i0:i1, i0:i1] += block
-        H1[i0:i1, i0:i1] += block
     A.flat[::n + 1] -= W * mesh.curvature**2
 
     if gamma > 0:
@@ -292,9 +288,8 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
         A = np.add(A, G, out=G)     # the form takes over G's memory
         A.flat[::n + 1] += 4.0 * gamma * (W * dnv)
 
-    for M in (A, H1):    # symmetrize in place
-        M += M.T
-        M *= 0.5
+    A += A.T    # symmetrize in place
+    A *= 0.5
 
     # constraint functionals: total mean + active translation directions
     a_ij = np.einsum("i,ip,iq->pq", W, mesh.normals, mesh.normals)
@@ -303,32 +298,29 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
     for p in range(2):
         if evals[p] > 1e-10:
             rows.append(W * (mesh.normals @ frame[:, p]))
-    return QuadraticFormMatrix(A, W, H1, np.array(rows), frame, mesh)
+    return QuadraticFormMatrix(A, W, np.array(rows), mesh)
 
 
-def constrained_min_eig(form: QuadraticFormMatrix,
-                        norm: str = "l2") -> StabilityReport:
-    """Minimal Rayleigh quotient of the form on the constrained complement.
+def constrained_min_eig(form: QuadraticFormMatrix) -> StabilityReport:
+    """Minimal L^2 Rayleigh quotient of the form on the constrained complement.
 
     Constraints (total mean and the translation functionals with nonzero
     frame norm) are removed by an SVD nullspace; the quotient is taken
-    against the arc-length L^2 mass (norm="l2") or the full H^1 Gram
-    (norm="h1"), whitened by its Cholesky factor for one symmetric eigh.
+    against the arc-length L^2 mass, whitened by its Cholesky factor for one
+    symmetric eigh.
     """
-    if norm not in ("l2", "h1"):
-        raise ValidationError(f"norm must be 'l2' or 'h1', got {norm!r}")
     C = np.atleast_2d(form.constraints)
     _, sv, Vt = np.linalg.svd(C)
     if np.count_nonzero(sv > 1e-12) < C.shape[0]:
         raise ValidationError("constraint functionals are rank deficient")
     Z = Vt[C.shape[0]:].T
     Ared = Z.T @ form.matrix @ Z
-    Bred = (Z.T * form.weights) @ Z if norm == "l2" else Z.T @ form.h1 @ Z
+    Bred = (Z.T * form.weights) @ Z
     Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Bred + Bred.T)))
     w, U = np.linalg.eigh(Li @ (0.5 * (Ared + Ared.T)) @ Li.T)
     vec = Z @ (Li.T @ U[:, 0])
     return StabilityReport(float(w[0]), "constrained", vec,
-                           scan={"norm": norm, "n": form.matrix.shape[0],
+                           scan={"n": form.matrix.shape[0],
                                  "n_constraints": C.shape[0]})
 
 

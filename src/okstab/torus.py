@@ -236,8 +236,10 @@ def green_kernel_screened(q: int, s):
     """1D circle Green kernel of the laterally Fourier-transformed torus Laplacian.
 
     q = 0: mean-zero kernel of -d^2/ds^2, g0(s) = s^2/2 - s/2 + 1/12.
-    q >= 1: kernel of -d^2/ds^2 + (2 pi q)^2,
-            g(s) = cosh(lam (1/2 - d)) / (2 lam sinh(lam/2)), lam = 2 pi q.
+    q >= 1: kernel of -d^2/ds^2 + (2 pi q)^2, lam = 2 pi q, d = dist(s, Z),
+            g(s) = cosh(lam (1/2 - d)) / (2 lam sinh(lam/2)), evaluated as
+            (e^{-lam d} + e^{-lam (1-d)}) / (2 lam (1 - e^{-lam})), which
+            cannot overflow (the cosh form is inf/inf from q = 227).
     """
     if q < 0:
         raise ValidationError("q must be nonnegative")
@@ -248,7 +250,7 @@ def green_kernel_screened(q: int, s):
     else:
         d = np.minimum(sa, 1.0 - sa)
         lam = 2.0 * np.pi * q
-        out = np.cosh(lam * (0.5 - d)) / (2.0 * lam * np.sinh(0.5 * lam))
+        out = (np.exp(-lam * d) + np.exp(-lam * (1.0 - d))) / (-2.0 * lam * np.expm1(-lam))
     return float(out) if scalar else out
 
 
@@ -304,29 +306,3 @@ def green_function_2d(x, y):
 def green2d_self_regularized() -> float:
     """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)] = H0; constant by translation invariance."""
     return _GREEN2D_H0
-
-
-# ---------------------------------------------------------------------------
-# field snapshot format
-# ---------------------------------------------------------------------------
-
-def save_field(f: ScalarField, path: str):
-    """Write 'okfield v1' snapshot: text header + row-major little-endian f64."""
-    header = "okfield v1 dim=%d sizes=%s\n" % (
-        f.grid.dim, ",".join(str(n) for n in f.grid.sizes))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def load_field(path: str) -> ScalarField:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "okfield" or parts[1] != "v1":
-            raise ValidationError(f"bad snapshot header: {header!r}")
-        dim = int(parts[2].split("=")[1])
-        sizes = tuple(int(s) for s in parts[3].split("=")[1].split(","))
-        grid = make_grid(dim, sizes)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(sizes)
-    return ScalarField(grid, data)

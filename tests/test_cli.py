@@ -373,8 +373,8 @@ def test_bad_thread_cap_is_one_error_line_at_the_cli(tmp_path):
 def test_library_runs_without_scipy():
     # the indicator-field energy (marching squares and the spectral solve),
     # the droplet Euler-Lagrange residual (trigonometric interpolation), the
-    # constrained eigensolve in both norms and the strip/disc crossing are
-    # numpy alone; scipy is a test oracle only
+    # constrained eigensolve and the strip/disc crossing are numpy alone;
+    # scipy is a test oracle only
     import okstab
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(okstab.__file__)))
@@ -390,8 +390,7 @@ def test_library_runs_without_scipy():
         mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)
         el_residual(mesh, 1.0, g)
         form = assemble_boundary_form(mesh, 1.0)
-        constrained_min_eig(form, norm="l2")
-        constrained_min_eig(form, norm="h1")
+        constrained_min_eig(form)
         strip_disc_crossing()
         print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
     """)

@@ -84,18 +84,21 @@ def test_optimal_strip_count():
     assert optimal_strip_count(0.0, 0.0) == 1
     big = 48.0 * 1000.0**3
     assert optimal_strip_count(0.0, big) == pytest.approx(1000, abs=1)
-    # the energy decreases up to k ~ c^(1/3), so a lower cap is the argmin
-    assert optimal_strip_count(0.0, big, k_max=2) == 2
     ks = [optimal_strip_count(0.0, g) for g in np.linspace(0, 5e4, 40)]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
+    # k* = (1e30/48)^(1/3) = 2.7516e9, where a cap at 10 000 used to sit
+    assert optimal_strip_count(0.0, 1e30) == 2751606041
 
 
-@pytest.mark.parametrize("m, k_max, name",
-                         [(1.5, 10_000, "m"), (0.0, 0, "k_max"), (0.0, 2.5, "k_max")],
-                         ids=["m=1.5", "k_max=0", "k_max=2.5"])
-def test_optimal_strip_count_rejects_bad_input(m, k_max, name):
+@pytest.mark.parametrize("m, gamma, name",
+                         [(1.5, 10.0, "m"), (0.0, float("nan"), "gamma"),
+                          (0.0, -1.0, "gamma"), (0.0, 1e50, "gamma")],
+                         ids=["m=1.5", "gamma=nan", "gamma=-1", "gamma=1e50"])
+def test_optimal_strip_count_rejects_bad_input(m, gamma, name):
+    # at gamma = 1e50 the optimum k* = 1.0e16 is past 2^52: its neighbours
+    # are not float64 numbers
     with pytest.raises(ValidationError, match=name):
-        optimal_strip_count(m, 10.0, k_max=k_max)
+        optimal_strip_count(m, gamma)
 
 
 BAD_GAMMAS = [float("nan"), float("inf"), -1.0]

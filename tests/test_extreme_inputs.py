@@ -1,0 +1,60 @@
+"""Extreme-input sweeps: public functions drawn log-uniformly across their
+whole allowed range must return finite answers, without warnings and
+without silent caps.
+
+Draws are seeded (derandomize) and bounded (max_examples), so the module
+stays well under a second.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from okstab.energy import optimal_strip_count
+from okstab.shapes import Lamella
+from okstab.torus import green_kernel_screened
+
+sweep = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@sweep
+@given(q=log_uniform(0, 5).map(round), s=st.floats(-2.0, 2.0))
+@example(q=224, s=0.0)        # the cosh/sinh form read 0.0 here
+@example(q=227, s=0.5)        # ... and NaN from here on
+@example(q=100_000, s=1e-300)
+def test_screened_kernel_finite_positive_and_peaked(q, s):
+    lam = 2.0 * math.pi * q
+    d = min(abs(s) % 1.0, 1.0 - abs(s) % 1.0)
+    with np.errstate(all="raise", under="ignore"):
+        g = green_kernel_screened(q, s)
+        g0 = green_kernel_screened(q, 0.0)
+    assert math.isfinite(g) and math.isfinite(g0)
+    # the true value exceeds e^{-lam d}/(2 lam), which is a float64 number
+    # above zero while lam d < 700; past that it may round to 0
+    assert g > 0 if lam * d < 700 else g >= 0
+    assert g <= g0
+
+
+def _strip_count_oracle(m, gamma):
+    """Exact argmin (ties -> smaller k) of 2k + c/k^2 over k* - 2 .. k* + 2,
+    with the library's float c taken as an exact rational."""
+    a = Lamella(k=1, m=m, axis=0, dim=1).a
+    c = Fraction(gamma * a * a * (1.0 - a) ** 2 / 3.0)
+    k_star = math.floor(float(np.cbrt(float(c))))
+    return min(range(max(1, k_star - 2), k_star + 3), key=lambda k: (2 * k + c / (k * k), k))
+
+
+@sweep
+@given(m=st.floats(-1.0 + 1e-6, 1.0 - 1e-6), gamma=log_uniform(-6, 30))
+@example(m=0.0, gamma=1e30)   # capped at 10 000, where k* = 2.7516e9
+@example(m=0.0, gamma=128.0)  # the k = 1 / k = 2 crossover
+@example(m=0.0, gamma=1e48)   # k* = 2.75e15, near the 2^52 limit
+def test_optimal_strip_count_is_the_exact_argmin(m, gamma):
+    assert optimal_strip_count(m, gamma) == _strip_count_oracle(m, gamma)

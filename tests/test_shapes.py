@@ -13,7 +13,7 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            alpha_distance, boundary_mesh, graph_alpha,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, periodic_samples, rasterize,
-                           recenter_translation, save_shape, volume_fraction)
+                           save_shape)
 from okstab.torus import (ScalarField, ValidationError, make_grid,
                           solve_poisson_periodic, trig_interpolate)
 from oracles import (circle_distance, graph_perimeter_resampled, grid_coords,
@@ -50,10 +50,10 @@ def test_rasterize_alphabet_and_mean():
     g = make_grid(2, (256, 256))
     u = rasterize(lamella(1, 0.0), g)
     assert set(np.unique(u.values)) == {-1.0, 1.0}
-    assert abs(volume_fraction(u)) <= 1.0 / 256
+    assert abs(u.mean()) <= 1.0 / 256
     d = rasterize(Droplet((0.5, 0.5), 0.2), g)
     want = 2 * np.pi * 0.04 - 1
-    assert abs(volume_fraction(d) - want) < 4 * 0.2 * (1 / 256)  # O(h) rim error
+    assert abs(d.mean() - want) < 4 * 0.2 * (1 / 256)  # O(h) rim error
 
 
 @pytest.mark.parametrize("sizes, center, r", [
@@ -428,27 +428,6 @@ def test_boundary_mesh_graph_curvature_linearization():
     lin = -4 * np.pi**2 * delta * np.sin(2 * np.pi * t)
     # linearization error is O(delta^2) relative to the delta-scale
     assert np.abs(mesh.curvature[i0:i1] - lin).max() < 100 * delta**2
-
-
-def test_recentering():
-    base = lamella(2, 0.0)
-    n = 32
-    # rigid shift: psi == c on every interface
-    psi = 0.03 * np.ones((4, n))
-    shift = recenter_translation(psi, base)
-    assert abs(shift[base.axis] - 0.03) < 1e-15
-    # mean-zero per interface: no shift
-    x = np.arange(n) / n
-    psi2 = np.tile(np.sin(2 * np.pi * x), (4, 1))
-    assert abs(recenter_translation(psi2, base)[base.axis]) < 1e-15
-    # random psi: recentering reduces the translation functional
-    rng = np.random.default_rng(8)
-    psi3 = 0.01 * rng.standard_normal((4, n))
-    before = abs(psi3.mean(axis=1).sum())
-    sigma = recenter_translation(psi3, base)[base.axis]
-    after = abs((psi3 - sigma).mean(axis=1).sum())
-    assert after <= before + 1e-15
-    assert after < 1e-12  # one step zeroes it for flat lamellae
 
 
 def test_lamella_potential_profile():

@@ -108,6 +108,35 @@ def test_threshold_gamma_large():
         assert _dense_min_eig(k, 0.0, gc[k] + 1e-3) < 0
 
 
+def test_spectrum_past_the_kernel_overflow():
+    # g_q overflowed from q = 224: at gamma = 1e9 the scan reached q = 224,
+    # where the kernel read 0.0 (then NaN), and took it as the minimizing mode
+    rep = lamella_min_eigenvalue(20, 0.0, 1e9)
+    assert rep.mode == 201
+    assert rep.min_eigenvalue == pytest.approx(-4.5237769901e7, rel=1e-9)
+    assert rep.min_eigenvalue == pytest.approx(_dense_min_eig(20, 0.0, 1e9), rel=1e-12)
+    # k0 = 276 at gamma = 1e9 (the k0 scan to k_max = 400 returned None); the
+    # sign change it rests on, and the top of the scan, at ~0.2 s per k
+    assert lamella_min_eigenvalue(275, 0.0, 1e9).min_eigenvalue < 0
+    assert lamella_min_eigenvalue(276, 0.0, 1e9).min_eigenvalue > 0
+    assert lamella_min_eigenvalue(400, 0.0, 1e9).min_eigenvalue > 0
+    # a bogus q = 224 mode put gamma_c at 2.085e9 (80 % low)
+    rep = stability_threshold_gamma(-0.9, 200, gamma_max=1e15)
+    assert rep.mode == 1
+    assert rep.gamma_c == pytest.approx(1.06373e10, rel=1e-5)
+
+
+def test_form_value_on_modes_past_the_kernel_overflow():
+    # 512 lateral samples reach q = 256 > 226, where M(q) was NaN
+    base = lamella(2, 0.3)
+    x = np.arange(512) / 512
+    v = np.array([0.3, -1.0, 0.5, 0.2])
+    for q in (3, 240):
+        phi = np.outer(v, np.cos(2 * np.pi * q * x))
+        want = 0.5 * v @ lamella_mode_matrix(2, 0.3, 7.0, q).matrix @ v
+        assert lamella_form_value(base, phi, 7.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_min_eigenvalue_matches_dense():
     for (k, m, gamma) in [(1, 0.0, 50.0), (3, -0.2, 300.0), (8, 0.3, 4e3),
                           (50, 0.1, 2e4)]:
@@ -234,7 +263,6 @@ def _all_pairs_form(mesh, gamma):
     n = len(mesh.points)
     W = mesh.weights
     A = np.zeros((n, n))
-    H1 = np.diag(W)
     for (i0, i1) in mesh.components:
         nc = i1 - i0
         Dt = periodic_samples(np.eye(nc), nc, 1)
@@ -245,7 +273,6 @@ def _all_pairs_form(mesh, gamma):
             inv_sp = float(np.mean(1.0 / mesh.speeds[i0:i1]))
             block += (np.pi * nc) ** 2 * 0.5 * inv_sp / nc**2 * np.outer(e, e)
         A[i0:i1, i0:i1] += block
-        H1[i0:i1, i0:i1] += block
     A -= np.diag(W * mesh.curvature**2)
     if gamma > 0:
         pts = mesh.points
@@ -272,7 +299,7 @@ def _all_pairs_form(mesh, gamma):
         else:   # checked against grid_potential_chain in test_energy.py
             dnv = GridPotential(mesh.shape).dnv_on_mesh(mesh)
         A += 4.0 * gamma * np.diag(W * dnv)
-    return 0.5 * (A + A.T), 0.5 * (H1 + H1.T)
+    return 0.5 * (A + A.T)
 
 
 def _two_droplet_mesh(n):
@@ -298,9 +325,7 @@ def _two_droplet_mesh(n):
 def test_boundary_form_matches_all_pairs_assembly(mesh, gamma):
     # chunked upper-triangle Green block, in-place blocks: the same bits
     form = assemble_boundary_form(mesh, gamma)
-    A, H1 = _all_pairs_form(mesh, gamma)
-    assert np.array_equal(form.matrix, A)
-    assert np.array_equal(form.h1, H1)
+    assert np.array_equal(form.matrix, _all_pairs_form(mesh, gamma))
 
 
 @pytest.mark.parametrize("shape, n, limit_mb", [
@@ -318,7 +343,7 @@ def test_boundary_form_peak_memory(shape, n, limit_mb):
 def test_constrained_min_eig_l2_peak_memory():
     # a dense diag(weights) mass and a second SVD peaked at 3.61 MB
     form = assemble_boundary_form(boundary_mesh(Droplet((0.43, 0.57), 0.22), 256), 5.0)
-    peak = traced_peak(lambda: constrained_min_eig(form, "l2"))
+    peak = traced_peak(lambda: constrained_min_eig(form))
     assert peak < 3.3e6, peak / 1e6
 
 
@@ -334,10 +359,10 @@ def test_asymmetric_form_rejected():
     form = assemble_boundary_form(boundary_mesh(lamella(1, 0.0), 64), 1.0)
     A = form.matrix.copy()
     A[0, 1] += 1e-12 * np.abs(A).max()      # within the tolerance
-    QuadraticFormMatrix(A, form.weights, form.h1, form.constraints, form.frame)
+    QuadraticFormMatrix(A, form.weights, form.constraints)
     A[0, 1] += 1e-9 * np.abs(A).max()
     with pytest.raises(NumericalError, match="lost symmetry"):
-        QuadraticFormMatrix(A, form.weights, form.h1, form.constraints, form.frame)
+        QuadraticFormMatrix(A, form.weights, form.constraints)
 
 
 def test_boundary_form_translation_nullity():
@@ -383,30 +408,22 @@ def test_constrained_min_eig_sees_rebound_eigh(monkeypatch):
     assert calls == [64 - 3]   # mean and two translations projected out
 
 
-@pytest.mark.parametrize("norm", ["l2", "h1"])
 @pytest.mark.parametrize("shape, gamma", [(Droplet((0.4, 0.55), 0.22), 1.5),
                                           (lamella(1, 0.2), 2.0)],
-                         ids=["droplet", "lamella"])
-def test_constrained_min_eig_matches_generalized_eigh(shape, gamma, norm):
+                         ids=["droplet-l2", "lamella-l2"])
+def test_constrained_min_eig_matches_generalized_eigh(shape, gamma):
     # oracle: LAPACK's generalized symmetric solver on the same reduction
     from scipy.linalg import eigh
     form = assemble_boundary_form(boundary_mesh(shape, 96), gamma)
-    rep = constrained_min_eig(form, norm=norm)
+    rep = constrained_min_eig(form)
     _, _, Vt = np.linalg.svd(form.constraints)
     Z = Vt[len(form.constraints):].T
-    B = np.diag(form.weights) if norm == "l2" else form.h1
+    B = np.diag(form.weights)
     want = eigh(Z.T @ form.matrix @ Z, Z.T @ B @ Z, eigvals_only=True)[0]
     assert abs(rep.min_eigenvalue - want) <= 1e-10 * abs(want)
     vec = rep.eigenvector
     assert abs(vec @ form.matrix @ vec / (vec @ B @ vec) - want) <= 1e-10 * abs(want)
     assert np.abs(form.constraints @ vec).max() < 1e-10 * np.abs(vec).max()
-
-
-@pytest.mark.parametrize("norm", ["L2", "H1", "bogus", ""])
-def test_constrained_min_eig_rejects_unknown_norm(norm):
-    form = assemble_boundary_form(boundary_mesh(Droplet((0.5, 0.5), 0.25), 64), 1.0)
-    with pytest.raises(ValidationError, match="norm"):
-        constrained_min_eig(form, norm=norm)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -447,14 +464,6 @@ def test_boundary_form_rejects_bad_gamma(gamma):
     mesh = boundary_mesh(Droplet((0.5, 0.5), 0.25), 64)
     with pytest.raises(ValidationError, match="gamma must be finite and nonnegative"):
         assemble_boundary_form(mesh, gamma)
-
-
-def test_h1_normalization_smaller():
-    mesh = boundary_mesh(lamella(1, 0.0), 128)
-    form = assemble_boundary_form(mesh, 2.0)
-    l2 = constrained_min_eig(form, norm="l2").min_eigenvalue
-    h1 = constrained_min_eig(form, norm="h1").min_eigenvalue
-    assert 0 < h1 < l2   # H^1 norm dominates L^2
 
 
 def test_fd_check_single_mode():

@@ -1,6 +1,4 @@
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -8,9 +6,8 @@ import pytest
 from okstab import torus
 from okstab.torus import (ScalarField, ValidationError, _wavenumbers,
                           dirichlet_energy, green2d_self_regularized,
-                          green_function_2d, green_kernel_screened, load_field,
-                          make_grid, save_field, solve_poisson_periodic,
-                          trig_interpolate)
+                          green_function_2d, green_kernel_screened, make_grid,
+                          solve_poisson_periodic, trig_interpolate)
 from oracles import (count_transforms, green2d_screened,
                      green2d_screened_self_regularized, grid_coords, laplacian,
                      traced_peak, trig_interpolate_full)
@@ -109,6 +106,21 @@ def test_kernel_vs_spectral_sum():
             if q > 0:
                 val += 1.0 / lam2
             assert abs(green_kernel_screened(q, s) - val) < 1e-10, (q, s)
+
+
+@pytest.mark.parametrize("q", [1, 6, 100, 223, 224, 227, 1000, 10_000])
+def test_kernel_large_q_asymptotics(q):
+    # the cosh/sinh form overflowed: 0.0 at q = 224, d = 0 (true 3.55e-4),
+    # NaN from q = 227.  g_q(0) = 1/(2 lam tanh(lam/2)) exactly, and
+    # 2 lam e^{lam d} g_q(d) = 1 + e^{-lam (1-2d)} + O(e^{-lam}) for d <= 1/2
+    lam = 2 * np.pi * q
+    d = np.arange(21) / (4.0 * max(q, 10))    # lam d <= 10 pi, d <= 1/8
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        g0 = green_kernel_screened(q, 0.0)
+        g = green_kernel_screened(q, d)
+    assert g0 == pytest.approx(1.0 / (2.0 * lam * math.tanh(0.5 * lam)), rel=1e-15)
+    lead = 2.0 * lam * np.exp(lam * d) * g - 1.0
+    assert np.abs(lead - np.exp(-lam * (1.0 - 2.0 * d))).max() < 2.1 * np.exp(-lam) + 1e-14
 
 
 def test_kernel_evenness_and_period():
@@ -309,21 +321,6 @@ def test_trig_interpolation_matches_cardinal_functions(sizes):
     want = np.einsum(*operands, [dim])
     got = trig_interpolate(ScalarField(g, vals), pts)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(vals).max()
-
-
-def test_snapshot_round_trip_bit_exact():
-    rng = np.random.default_rng(9)
-    g = make_grid(3, (8, 16, 8))
-    fld = ScalarField(g, rng.standard_normal(g.sizes))
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "f.okfield")
-        save_field(fld, path)
-        back = load_field(path)
-        with open(path, "rb") as fh:
-            header = fh.readline().decode()
-        assert header == "okfield v1 dim=3 sizes=8,16,8\n"
-    assert back.grid == g
-    assert np.array_equal(back.values, fld.values)
 
 
 def test_ksq_built_once_and_read_only():
