@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .config import read_key_values
-from .energy import (el_residual, energy, graph_energy, isoperimetric_compare,
-                     volume_corrected_perturbation)
+from .energy import (_check_gamma, el_residual, energy, graph_energy,
+                     isoperimetric_compare, volume_corrected_perturbation)
 from .flow import run_flow, tanh_profile
 from .shapes import (GraphPerturbation, Lamella, alpha_distance, boundary_mesh,
                      graph_alpha, load_shape, rasterize, record_to_shape)
@@ -83,6 +83,7 @@ def cmd_energy(args):
 
 
 def cmd_stability_scan(args):
+    _require_at_least(args, k_min=1)
     if args.k_min > args.k_max:
         raise ValidationError(f"--k-min ({args.k_min}) exceeds --k-max ({args.k_max})")
     rows = []
@@ -96,11 +97,16 @@ def cmd_threshold(args):
     if args.mode == "gamma":
         _use_options(args, ("gamma",), "with --mode gamma", k=1)
         rep = stability_threshold_gamma(args.m, args.k)
-        val = rep.gamma_c if rep.gamma_c is not None else "stable"
-        rows = [(args.m, args.k, "gamma_c", val)]
+        rows = [(args.m, args.k, "gamma_c", rep.gamma_c)]
     else:
         _use_options(args, ("k",), "with --mode k", gamma=1.0)
-        rep = stability_threshold_k(args.m, args.gamma)
+        _check_gamma(args.gamma)
+        k_max = 200     # stability_threshold_k's default
+        gc = stability_threshold_gamma(args.m, k_max).gamma_c   # M(q) is linear in gamma
+        if args.gamma >= gc:
+            raise ValidationError(f"no k0 <= k_max = {k_max}: k = {k_max} is unstable "
+                                  f"from gamma_c(m, {k_max}) = {gc!r} on")
+        rep = stability_threshold_k(args.m, args.gamma, k_max)
         rows = [(args.m, args.gamma, "k0",
                  rep.k0 if rep.k0 is not None else "none")]
     return "param1,param2,kind,value", rows

@@ -23,7 +23,7 @@ from .torus import (ScalarField, TorusGrid, ValidationError, _check_count, _wave
 
 def _check_gamma(gamma: float):
     if not 0.0 <= gamma < np.inf:
-        raise ValidationError("gamma must be finite and nonnegative")
+        raise ValidationError(f"gamma must be finite and nonnegative, got {gamma!r}")
 
 
 @dataclass(frozen=True)

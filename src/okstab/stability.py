@@ -6,15 +6,16 @@ translation directions projected out, thresholds in gamma and in the strip
 count, and finite-difference validation of the form against the full
 energy.  The lamella mode matrix is linear in gamma,
 M(q) = 4 pi^2 q^2 I + gamma A(q), so one scan over the lowest eigenpairs of
-the gamma-free A(q) gives both the minimal eigenvalue at any gamma and the
-threshold gamma_c in closed form.  A shift by 1/k maps the lamella onto
+the gamma-free A(q) gives the minimal eigenvalue at any gamma, and the
+threshold gamma_c is closed form.  A shift by 1/k maps the lamella onto
 itself, so A(q) splits into k Hermitian 2x2 Bloch blocks given by one
 length-k FFT; the dense M(q) serves lamella_form_value and is the reference
-the scan is tested against.
+the scan and the closed form are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,69 +92,61 @@ def _bloch_vector(k: int, p: int, beta: complex) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _mode_scan(k: int, m: float, value):
-    """Minimize value(q, mu(q)) over lateral modes q >= 1, with mu(q) the
-    lowest eigenvalue of A(q), 8 min_p (alpha_p - |beta_p|) + 4 dnv.
-
-    value must be nondecreasing in mu and in q.  Every eigenvalue of A(q')
-    for q' > q is at least the Gershgorin bound -16 k g_{q+1}(0) + 4 dnv
-    (g_q(0) decreases in q), so the scan stops once value at that bound
-    exceeds the best so far.  Returns (best value, q, mu, Bloch index p,
-    eigenvector, last q scanned).
-    """
-    shape = Lamella(k=k, m=m, axis=0, dim=1)
-    a, dnv = shape.a, shape.dnv
-    best = (np.inf, None, None, None, None)
-    q = 1
-    while True:
-        alpha, beta = _bloch_blocks(k, a, q)
-        low = alpha - np.abs(beta)
-        p = int(np.argmin(low))
-        mu = 8.0 * float(low[p]) + 4.0 * dnv
-        f = value(q, mu)
-        if f < best[0]:
-            best = (f, q, mu, p, _bloch_vector(k, p, beta[p]))
-        if value(q + 1, -16.0 * k * green_kernel_screened(q + 1, 0.0)
-                 + 4.0 * dnv) > best[0]:
-            return (*best, q)
-        q += 1
-
-
 def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
     """Minimum over lateral modes q >= 1 of the eigenvalues of M(q).
 
     The q = 0 block carries only the translation and volume directions
     (amplitudes constant per interface), which are excluded from the
     admissible class, so it does not enter the minimum.  M(q) and A(q)
-    share eigenvectors, so the minimum is that of 4 pi^2 q^2 + gamma mu(q).
+    share eigenvectors, so the minimum is that of 4 pi^2 q^2 + gamma mu(q),
+    mu(q) = 8 min_p (alpha_p - |beta_p|) + 4 dnv the lowest eigenvalue of A(q).
     """
     _check_gamma(gamma)
-    best, q, _, p, vec, q_scanned = _mode_scan(
-        k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 + gamma * mu)
-    return StabilityReport(best, q, vec,
-                           scan={"q_scanned": q_scanned, "bloch_p": p, "k": k,
+    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    a, dnv = shape.a, shape.dnv
+    best, q = np.inf, 1
+    while True:
+        alpha, beta = _bloch_blocks(k, a, q)
+        low = alpha - np.abs(beta)
+        p = int(np.argmin(low))
+        f = 4.0 * np.pi**2 * q**2 + gamma * (8.0 * float(low[p]) + 4.0 * dnv)
+        if f < best:
+            best, mode, bloch_p, vec = f, q, p, _bloch_vector(k, p, beta[p])
+        # every eigenvalue of A(q') for q' > q is at least the Gershgorin
+        # bound 4 dnv - 16 k g_{q+1}(0), as g_q(0) decreases in q
+        bound = 4.0 * dnv - 16.0 * k * green_kernel_screened(q + 1, 0.0)
+        if 4.0 * np.pi**2 * (q + 1)**2 + gamma * bound > best:
+            break
+        q += 1
+    return StabilityReport(best, mode, vec,
+                           scan={"q_scanned": q, "bloch_p": bloch_p, "k": k,
                                  "m": m, "gamma": gamma})
 
 
-def stability_threshold_gamma(m: float, k: int,
-                              gamma_max: float = 1e6) -> StabilityReport:
-    """Threshold gamma_c = min over q with mu(q) < 0 of 4 pi^2 q^2 / -mu(q).
+def _d_over_cube(x: float, a: float) -> float:
+    """D(x)/x^3 for D(x) = abx - sinh(ax) sinh(bx)/sinh x, b = 1 - a, from the
+    series D(x) sinh x = 8 a^2 b^2 sum_{n>=2} T_n x^{2n}/(2n)!, T_n = sum_{j<n} S_j,
+    S_j = sum_{i<j} c^{2i}, c = a - b: no term is negative, so no digits cancel
+    at small x or small ab, and 16 terms reach float64 precision for x <= pi."""
+    b = 1.0 - a
+    n = np.arange(2, 18)
+    s = np.cumsum((a - b) ** (2 * n - 4))    # S_{n-1}
+    terms = np.cumsum(s) * x ** (2 * n - 4) / [float(math.factorial(2 * j)) for j in n]
+    return 8.0 * (a * b) ** 2 * math.fsum(terms) / float(np.sinh(x) / x)
 
-    M(q) is linear in gamma, so mode q turns unstable exactly there.
-    Returns gamma_c = None when the lamella stays stable up to gamma_max.
+
+def stability_threshold_gamma(m: float, k: int) -> StabilityReport:
+    """Threshold gamma_c = pi^3/D(pi/k), D as in _d_over_cube.
+
+    Mode q turns unstable at gamma = 4 pi^2 q^2 / -mu(q).  On the lowest
+    Bloch branch, p = 0, mu(q) = -4 D(pi q/k)/(pi q), and x^3/D(x) increases
+    in x, so q = 1 goes first (both checked on grids, not proven), along the
+    alternating eigenvector (1, -1, ...)/sqrt(2k).
     """
-    if not gamma_max >= 0.0:
-        raise ValidationError(f"gamma_max must be nonnegative, got {gamma_max!r}")
-    gc, q, mu, p, vec, q_scanned = _mode_scan(
-        k, m, lambda q, mu: 4.0 * np.pi**2 * q**2 / -mu if mu < 0 else np.inf)
-    if gc > gamma_max:
-        rep = lamella_min_eigenvalue(k, m, gamma_max)
-        rep.scan["status"] = "stable throughout range"
-        return rep
-    return StabilityReport(4.0 * np.pi**2 * q**2 + gc * mu, q, vec,
-                           gamma_c=gc,
-                           scan={"q_scanned": q_scanned, "bloch_p": p, "k": k,
-                                 "m": m, "gamma": gc})
+    a = Lamella(k=k, m=m, axis=0, dim=1).a    # validates k and m
+    gc = float(k) ** 3 / _d_over_cube(np.pi / k, a)
+    return StabilityReport(0.0, 1, np.tile([1.0, -1.0], k) / np.sqrt(2 * k), gamma_c=gc,
+                           scan={"bloch_p": 0, "k": k, "m": m, "gamma": gc})
 
 
 def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:

@@ -1,11 +1,13 @@
 """Independent oracles and helpers shared by the test modules."""
 
 import collections
+import math
 import tracemalloc
 
 import numpy as np
 
 from okstab.shapes import GraphPerturbation, Lamella, LamellaPotential, rasterize
+from okstab.stability import _bloch_blocks
 from okstab.torus import (ScalarField, green_kernel_screened, make_grid,
                           solve_poisson_periodic)
 
@@ -217,3 +219,26 @@ def green2d_screened_self_regularized() -> float:
     """lim_{y->x} [G(x,y) + log|x-y|/(2 pi)] from the same lateral modes."""
     return float(1.0 / 12.0 - np.log(2.0 * np.pi) / (2.0 * np.pi)
                  + np.sum(2.0 * _screened_remainder(_SCREENED_Q, 0.0)))
+
+
+def gamma_c_mode_scan(m: float, k: int):
+    """gamma_c(m, k) as the minimum over lateral modes q >= 1 of
+    4 pi^2 q^2 / -mu(q), mu(q) = 8 min_p (alpha_p - |beta_p|) + 4 dnv the
+    lowest eigenvalue of A(q) from its Bloch blocks.  The scan stops once
+    the Gershgorin bound -16 k g_{q+1}(0) + 4 dnv on every later mode's
+    eigenvalues puts that mode's threshold above the best.  Returns
+    (gamma_c, q, Bloch index p) of the first mode to turn unstable."""
+    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    a, dnv = shape.a, shape.dnv
+    best, q = (math.inf, None, None), 1
+    while True:
+        alpha, beta = _bloch_blocks(k, a, q)
+        low = alpha - np.abs(beta)
+        p = int(np.argmin(low))
+        mu = 8.0 * float(low[p]) + 4.0 * dnv
+        if mu < 0 and 4.0 * np.pi**2 * q**2 / -mu < best[0]:
+            best = (4.0 * np.pi**2 * q**2 / -mu, q, p)
+        bound = -16.0 * k * green_kernel_screened(q + 1, 0.0) + 4.0 * dnv
+        if bound >= 0 or 4.0 * np.pi**2 * (q + 1) ** 2 / -bound > best[0]:
+            return best
+        q += 1

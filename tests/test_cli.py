@@ -136,6 +136,22 @@ def test_config_supplies_required_options(tmp_path):
                - 94.87206216585848) < 2e-6
 
 
+def test_threshold_past_the_caps(tmp_path, capsys):
+    # gamma_c past 1e6 is a number, not "stable"
+    rc, out = _run(tmp_path, ["threshold", "--mode", "gamma", "--m", "0.0", "--k", "40"])
+    assert rc == 0
+    assert Path(out).read_text().splitlines()[-1] == "0.0,40,gamma_c,3073894.950130379"
+    # at gamma = 1e9 no k <= 200 is stable (k0 = 276): one error line naming the
+    # k_max = 200 cap and gamma_c(0, 200), where the k = 200 lamella turns unstable
+    out = str(tmp_path / "k.csv")
+    assert dispatch(["threshold", "--mode", "k", "--m", "0.0", "--gamma", "1e9",
+                     "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k_max = 200" in err and "gamma_c(m, 200) = 384009474.8174" in err
+    assert not os.path.exists(out)
+
+
 def test_bad_shape_option_is_one_error_line(capsys):
     assert dispatch(["energy", "--shape", "droplet", "--center", "abc"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -192,6 +208,8 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["perturb-test", "--gamma", "40", "--trials", "0"], "--trials"),
     (["stability-scan", "--m", "0", "--gamma", "5", "--k-min", "5", "--k-max", "3"],
      "--k-min (5) exceeds --k-max (3)"),
+    (["stability-scan", "--m", "0", "--gamma", "5", "--k-min", "0"],
+     "--k-min must be >= 1, got 0"),
     (_FLOW + ["--stride", "0"], "--stride"),
     (_FLOW + ["--noise", "-0.01"], "--noise"),
     (_FLOW + ["--noise", "nan"], "--noise"),
@@ -209,6 +227,8 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["criticality", "--shape", "droplet", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "nan"], "gamma must"),
     (["energy", "--shape", "lamella", "--gamma", "inf"], "gamma must"),
+    (["energy", "--shape", "lamella", "--gamma", "-1"],
+     "gamma must be finite and nonnegative, got -1.0"),
     (["fd-check", "--gamma", "nan"], "gamma must"),
     (["fd-check", "--gamma", "1", "--interface", "5"], "--interface must lie in 0..1"),
     (["fd-check", "--gamma", "1", "--interface", "-1"], "--interface must lie in 0..1"),
@@ -228,11 +248,11 @@ _PERTURB = ["perturb-test", "--gamma", "40", "--trials", "2"]
     (["energy", "--shape", "droplet", "--center", "nan,0.5", "--gamma", "1"], "center"),
     (["criticality", "--shape", "droplet", "--center", "inf,0.5", "--gamma", "1"],
      "center"),
-], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "stride=0",
-        "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf", "stop-tol<0",
-        "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan", "amplitude=inf",
-        "amplitude-too-large", "t-too-large",
-        "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf",
+], ids=["t=0", "t<0", "t=nan", "modes=0", "trials=0", "k-min>k-max", "k-min=0",
+        "stride=0", "noise<0", "noise=nan", "steps<0", "dt=nan", "epsilon=inf",
+        "stop-tol<0", "stop-tol=nan", "amplitude=0", "amplitude<0", "amplitude=nan",
+        "amplitude=inf", "amplitude-too-large", "t-too-large",
+        "criticality-gamma=nan", "energy-gamma=nan", "energy-gamma=inf", "energy-gamma<0",
         "fd-check-gamma=nan", "fd-check-interface=5", "fd-check-interface<0",
         "fd-check-q=40", "fd-check-q=0", "fd-check-q<0", "criticality-lamella-grid",
         "criticality-gamma0-grid",

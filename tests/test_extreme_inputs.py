@@ -7,6 +7,7 @@ stays well under a second.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from okstab.energy import optimal_strip_count
 from okstab.shapes import Lamella
+from okstab.stability import stability_threshold_gamma
 from okstab.torus import green_kernel_screened
 
 sweep = settings(derandomize=True, deadline=None, max_examples=150)
@@ -58,3 +60,18 @@ def _strip_count_oracle(m, gamma):
 @example(m=0.0, gamma=1e48)   # k* = 2.75e15, near the 2^52 limit
 def test_optimal_strip_count_is_the_exact_argmin(m, gamma):
     assert optimal_strip_count(m, gamma) == _strip_count_oracle(m, gamma)
+
+
+@sweep
+@given(m=st.floats(-1.0 + 1e-6, 1.0 - 1e-6), k=log_uniform(0, 4).map(round))
+@example(m=0.0, k=40)      # past a gamma_max = 1e6 cap that once answered "stable"
+@example(m=0.0, k=2000)    # a mode scan once took 29 205 modes to a wrong one here
+# D(x) = abx - sinh(ax) sinh(bx)/sinh x, summed as written, cancels so far at
+# the next example that its gamma_c = pi^3/D falls from k to k + 1
+@example(m=1.0 - 1e-6, k=10_000)
+def test_threshold_gamma_finite_positive_and_increasing(m, k):
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        lo = stability_threshold_gamma(m, k).gamma_c
+        hi = stability_threshold_gamma(m, k + 1).gamma_c
+    assert math.isfinite(hi) and 0.0 < lo < hi, (lo, hi)

@@ -11,14 +11,15 @@ from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
                            periodic_samples)
 from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
-                              _log_quadrature_block, assemble_boundary_form,
+                              _d_over_cube, _log_quadrature_block, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
                               lamella_mode_matrix, stability_threshold_gamma,
                               stability_threshold_k)
 from okstab.torus import (NumericalError, ValidationError, green2d_self_regularized,
                           green_function_2d)
-from oracles import interface_normal_derivative, traced_peak, translation_form_value
+from oracles import (gamma_c_mode_scan, interface_normal_derivative, traced_peak,
+                     translation_form_value)
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
 
@@ -71,7 +72,7 @@ def test_normal_derivative_scaling():
 def test_threshold_gamma_regression():
     rep = stability_threshold_gamma(0.0, 1)
     assert rep.gamma_c == pytest.approx(GAMMA_C_SINGLE_STRIP, abs=2e-6)
-    assert rep.scan["bloch_p"] == 0
+    assert rep.scan["bloch_p"] == 0 and rep.mode == 1 and rep.min_eigenvalue == 0.0
     # independent bracketing: dense eigensolves for q <= 20 on both sides
     for gamma, sign in ((rep.gamma_c - 0.01, 1.0), (rep.gamma_c + 0.01, -1.0)):
         worst = min(np.linalg.eigvalsh(
@@ -98,12 +99,12 @@ def _dense_min_eig(k, m, gamma):
 
 
 def test_threshold_gamma_large():
-    # gamma_c beyond 2^19 is found up to gamma_max = 1e6
+    # gamma_c past 1e6, where a gamma_max = 1e6 cap once reported "stable"
     gc = {k: stability_threshold_gamma(0.0, k).gamma_c for k in (23, 27, 28)}
     assert gc[23] == pytest.approx(585105.58, abs=0.01)
     assert gc[27] == pytest.approx(946063.08, abs=0.01)
-    assert gc[28] is None
-    for k in (23, 27):
+    assert gc[28] == pytest.approx(1055022.45, abs=0.01)
+    for k in (23, 27, 28):
         assert _dense_min_eig(k, 0.0, gc[k] - 1e-3) > 0
         assert _dense_min_eig(k, 0.0, gc[k] + 1e-3) < 0
 
@@ -121,7 +122,7 @@ def test_spectrum_past_the_kernel_overflow():
     assert lamella_min_eigenvalue(276, 0.0, 1e9).min_eigenvalue > 0
     assert lamella_min_eigenvalue(400, 0.0, 1e9).min_eigenvalue > 0
     # a bogus q = 224 mode put gamma_c at 2.085e9 (80 % low)
-    rep = stability_threshold_gamma(-0.9, 200, gamma_max=1e15)
+    rep = stability_threshold_gamma(-0.9, 200)
     assert rep.mode == 1
     assert rep.gamma_c == pytest.approx(1.06373e10, rel=1e-5)
 
@@ -192,15 +193,96 @@ def test_single_strip_eigenvector_is_dense():
 
 
 def test_threshold_gamma_monotone_in_k():
-    # gamma_c(m, k) strictly increases in k; None (stable up to gamma_max)
-    # may only follow every finite value
+    # gamma_c(m, k) is finite and strictly increases in k
     for m in (-0.3, 0.0, 0.25):
         gcs = [stability_threshold_gamma(m, k).gamma_c for k in range(1, 29)]
-        finite = [g for g in gcs if g is not None]
-        assert gcs[:len(finite)] == finite, m
-        assert all(a < b for a, b in zip(finite, finite[1:])), m
-        if m == 0.0:
-            assert gcs[-1] is None and len(finite) == 27
+        assert all(math.isfinite(g) for g in gcs), m
+        assert all(a < b for a, b in zip(gcs, gcs[1:])), m
+
+
+def test_threshold_gamma_matches_mode_scan():
+    # the scan over every lateral mode and Bloch branch picks q = 1, p = 0;
+    # its cancellation grows like k^4 (1.1e-9 relative at k = 20)
+    for m in (-0.9, -0.5, -0.1, 0.0, 0.3, 0.7, 0.95):
+        for k in range(1, 21):
+            want, q, p = gamma_c_mode_scan(m, k)
+            assert (q, p) == (1, 0), (m, k)
+            got = stability_threshold_gamma(m, k).gamma_c
+            assert abs(got - want) <= max(1e-13, 2e-14 * k**4) * want, (m, k)
+
+
+def test_threshold_gamma_is_where_the_dense_minimum_changes_sign():
+    # dense eigvalsh over every mode, on both sides of gamma_c; the report's
+    # alternating vector spans the kernel of M(1) there
+    for m, k in ((-0.6, 1), (0.0, 2), (0.4, 5), (-0.2, 13)):
+        rep = stability_threshold_gamma(m, k)
+        gc = rep.gamma_c
+        assert _dense_min_eig(k, m, gc * (1.0 - 1e-9)) > 0 > _dense_min_eig(
+            k, m, gc * (1.0 + 1e-9)), (m, k)
+        M = lamella_mode_matrix(k, m, gc, 1).matrix
+        v = rep.eigenvector
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(v * np.sqrt(2 * k) - np.tile([1.0, -1.0], k)).max() < 1e-15
+        assert np.linalg.norm(M @ v) < 1e-12 * np.linalg.norm(M, 2), (m, k)
+
+
+def _d_direct(x, a):
+    b = 1.0 - a
+    return a * b * x - np.sinh(a * x) * np.sinh(b * x) / np.sinh(x)
+
+
+def test_mode_one_is_critical():
+    # gamma_q = (pi q)^3 / D(pi q/k) for the p = 0 branch, so q = 1 turns
+    # unstable first iff x^3/D(x) increases in x: the library's series on
+    # (0, pi], the direct form on [pi, 60], which agree where both hold
+    x_lo = np.linspace(1e-3, np.pi, 400)
+    x_hi = np.linspace(np.pi, 60.0, 400)
+    for a in np.linspace(0.01, 0.99, 99):
+        lo = np.array([1.0 / _d_over_cube(x, a) for x in x_lo])
+        hi = x_hi**3 / _d_direct(x_hi, a)
+        assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0), a
+        assert hi[0] == pytest.approx(lo[-1], rel=1e-12), a
+        mid = np.linspace(1.0, np.pi, 9)
+        assert np.allclose([_d_over_cube(x, a) for x in mid],
+                           _d_direct(mid, a) / mid**3, rtol=1e-12, atol=0), a
+    # D is the p = 0 eigenvalue of A(q): mu(q) = -4 D(pi q/k)/(pi q)
+    for k, m, q in ((1, 0.0, 1), (3, 0.3, 2), (7, -0.5, 5), (20, 0.1, 13)):
+        x = np.pi * q / k
+        mu = np.linalg.eigvalsh(_dense_a(k, m, q)[0])[0]
+        want = -4.0 * x**3 * _d_over_cube(x, 0.5 * (m + 1.0)) / (np.pi * q)
+        assert mu == pytest.approx(want, rel=1e-12), (k, m, q)
+
+
+def test_threshold_gamma_cubic_growth():
+    # gamma_c/k^3 = (3/(a b)^2)(1 + (3 - c^2) x^2/30 + O(x^4)), x = pi/k, c = m
+    for m in (-0.8, 0.0, 0.5):
+        a = 0.5 * (m + 1.0)
+        for k in (10, 100, 1000, 10_000):
+            x = np.pi / k
+            ratio = stability_threshold_gamma(m, k).gamma_c / k**3 * (a * (1 - a))**2 / 3
+            assert abs(ratio - 1.0 - (3.0 - m * m) * x * x / 30.0) < x**4, (m, k)
+
+
+@pytest.mark.parametrize("m, k, want", [
+    (0.0, 40, 3073894.9501303784),       # once reported "stable" past gamma_max = 1e6
+    (-0.9, 200, 1.0637310708595867e10),  # once 80 % low, at a bogus q = 224 mode
+    (0.0, 2000, 3.8400009474820197e11),  # once 29 205 modes scanned to a wrong one
+])
+def test_threshold_gamma_pinned_values(m, k, want):
+    # from D(x) = abx - sinh(ax) sinh(bx)/sinh x in 60-digit arithmetic
+    assert stability_threshold_gamma(m, k).gamma_c == pytest.approx(want, rel=1e-13)
+
+
+def test_threshold_gamma_scans_no_modes(monkeypatch):
+    from okstab import stability
+
+    def no_scan(*args):
+        raise AssertionError("mode scanned")
+    monkeypatch.setattr(stability, "_bloch_blocks", no_scan)
+    monkeypatch.setattr(stability, "green_kernel_screened", no_scan)
+    monkeypatch.setattr(stability, "lamella_mode_matrix", no_scan)
+    assert stability_threshold_gamma(0.0, 2000).gamma_c == pytest.approx(
+        3.8400009474820197e11, rel=1e-13)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -429,9 +511,7 @@ def test_constrained_min_eig_matches_generalized_eigh(shape, gamma):
 @pytest.mark.parametrize("call, name", [
     (lambda: stability_threshold_k(0.0, 300.0, k_max=0), "k_max"),
     (lambda: stability_threshold_k(0.0, 300.0, k_max=2.5), "k_max"),
-    (lambda: stability_threshold_gamma(0.0, 1, gamma_max=float("nan")), "gamma_max"),
-    (lambda: stability_threshold_gamma(0.0, 1, gamma_max=-5.0), "gamma_max"),
-], ids=["k_max=0", "k_max=2.5", "gamma_max=nan", "gamma_max=-5"])
+], ids=["k_max=0", "k_max=2.5"])
 def test_threshold_rejects_bad_cap(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
