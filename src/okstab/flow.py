@@ -2,12 +2,11 @@
 
 E_eps(u) = eps int |grad u|^2 + (1/eps) int (u^2-1)^2 + gamma0 int |grad v|^2
 with -Lap v = u - mean(u).  The flow is the L^2 descent projected onto the
-fixed-mean constraint, discretized by a stabilized semi-implicit spectral
-step; the mean is conserved exactly and the energy is enforced to be
-nonincreasing by step rejection.
-
-The sharp-interface bookkeeping uses gamma = 3 gamma0 / 16: each interface
-carries the double-well cost 8/3 in the limit of small eps.
+fixed-mean constraint, discretized by a stabilized semi-implicit step on the
+half spectrum, uhat' = A uhat - B what with what the transform of u(u^2-1):
+two multipliers per (dt, S) whose zero modes 1 and 0 carry the mean exactly.
+Step rejection keeps the energy nonincreasing.  The sharp-interface
+bookkeeping uses gamma = 3 gamma0 / 16 (interfacial cost 8/3 per interface).
 """
 
 from __future__ import annotations
@@ -29,30 +28,30 @@ def sharp_gamma_to_gamma0(gamma: float) -> float:
     return GAMMA0_FACTOR * gamma
 
 
-def _well_derivative(u: np.ndarray, epsilon: float) -> np.ndarray:
-    # W'(u) / eps with W(u) = (u^2-1)^2
-    return (4.0 / epsilon) * u * (u**2 - 1.0)
-
-
 @functools.lru_cache(maxsize=8)
 def _flow_symbols(grid: TorusGrid, epsilon: float, gamma0: float):
-    # read-only: the quadratic form, the step's implicit and explicit symbols
-    ksq, inv = grid.ksq(), grid.inverse_laplacian()
-    out = np.array([epsilon * 4.0 * np.pi**2 * ksq + gamma0 * inv,
-                    2.0 * epsilon * 4.0 * np.pi**2 * ksq, 2.0 * gamma0 * inv])
+    """Read-only: the pricing weight (lam + 2 gamma0 L^-1) / N^2 with the zero and
+    (even n) Nyquist columns halved, lam = 2 eps |2 pi xi|^2, 2 gamma0 L^-1."""
+    lam = 2.0 * epsilon * 4.0 * np.pi**2 * grid.ksq()
+    nonlocal_sym = gamma0 * (2.0 * grid.inverse_laplacian())
+    out = np.array([(lam + nonlocal_sym) / grid.num_cells**2, lam, nonlocal_sym])
+    out[0, ..., [0, -1] if grid.sizes[-1] % 2 == 0 else 0] *= 0.5
     out.flags.writeable = False
     return out
 
 
 def diffuse_energy(u: ScalarField, epsilon: float, gamma0: float) -> float:
-    """E_eps(u): one Parseval sum over uhat for the quadratic terms, plus the well."""
+    """E_eps(u): the weighted power sum of u's half spectrum plus the well;
+    inf or nan, without a warning, where a term overflows."""
     if not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not 0 <= gamma0 < np.inf:
         raise ValidationError(f"gamma0 must be nonnegative and finite, got {gamma0!r}")
-    g = u.grid
-    well = float(((u.values**2 - 1.0) ** 2).mean()) / epsilon
-    return g.parseval(_flow_symbols(g, epsilon, gamma0)[0], u.spectrum) + well
+    spec, weight = u.spectrum, _flow_symbols(u.grid, epsilon, gamma0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        quadratic = float(np.vdot(weight, np.square(spec.real) + np.square(spec.imag)))
+        well = np.square(u.values) - 1.0
+        return quadratic + float(np.vdot(well, well)) / (epsilon * well.size)
 
 
 @dataclass
@@ -68,18 +67,16 @@ class FlowState:
     mean0: float = None
     rejections: int = 0
     stop_reason: str | None = None   # set by run_flow: "converged" or "max_steps"
+    multipliers: tuple = field(default=None, init=False, repr=False)  # ((dt, S), A, B)
 
     def __post_init__(self):
-        for name, sign in (("epsilon", "positive"), ("gamma0", "nonnegative"),
-                           ("dt", "positive")):
-            value = getattr(self, name)
-            if not (0 < value if sign == "positive" else 0 <= value) or value == np.inf:
-                raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
+        if not 0.0 < self.dt < np.inf:
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.mean0 is None:
             self.mean0 = self.u.mean()
+        e0 = diffuse_energy(self.u, self.epsilon, self.gamma0)   # checks epsilon, gamma0
         if not self.energy_history:
-            self.energy_history.append(
-                (0, 0.0, diffuse_energy(self.u, self.epsilon, self.gamma0)))
+            self.energy_history.append((0, 0.0, e0))
 
     @property
     def energy(self) -> float:
@@ -87,52 +84,59 @@ class FlowState:
 
 
 def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
-    """One stabilized semi-implicit step; mean(u) is preserved exactly.
+    """One stabilized semi-implicit step uhat' = A uhat - B what, what the
+    transform of u(u^2-1); mean(u) is preserved exactly.
 
-    The Laplacian is implicit, the well and nonlocal terms explicit with a
-    constant shift S and their zero mode set to 0 (the projection to mean
-    zero), so the zero mode of u is reproduced identically.  A candidate keeps
-    the spectrum it is built from, to be priced and, if accepted, to feed the
-    next step: 2 real FFTs per accepted step, 1 more per rejected candidate
-    (an energy rise beyond round-off; dt is halved).
-    """
+    A = (1 + dt S - dt 2 gamma0 L^-1) / (1 + dt (lam + S)), A_0 = 1, and
+    B = (4/eps) dt / (1 + dt (lam + S)), B_0 = 0: the Laplacian implicit, the
+    well and nonlocal terms explicit with a shift S = 2 max|W''(u)| / eps,
+    W(u) = (u^2-1)^2, refreshed every 100 steps.  The state holds A and B for
+    its current (dt, S) only.  2 real FFTs per accepted step, 1 more per
+    rejected candidate, one whose energy is not finite or rises beyond
+    round-off (dt halves); after 40, NumericalError names the quantities."""
     dt = state.dt if dt is None else dt
     if not 0.0 < dt < np.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    u, grid, eps, gamma0 = state.u.values, state.u.grid, state.epsilon, state.gamma0
     if state.step % 100 == 0 or state.stabilization == 0.0:
-        # S = 2 max|W''| / eps over the current iterate, W(u) = (u^2-1)^2
-        sup = float(np.abs(3.0 * state.u.values**2 - 1.0).max())
-        state.stabilization = 2.0 * 4.0 * sup / state.epsilon
-    S = state.stabilization
-    grid = state.u.grid
-    _, lam, nonlocal_sym = _flow_symbols(grid, state.epsilon, state.gamma0)
-    uh = state.u.spectrum
-    nh = grid.rfft(_well_derivative(state.u.values, state.epsilon)) + nonlocal_sym * uh
-    nh[(0,) * grid.dim] = 0.0
-    e0 = state.energy
+        state.stabilization = 8.0 * float(np.abs(3.0 * u**2 - 1.0).max()) / eps
+    S, wh = state.stabilization, grid.rfft((np.square(u) - 1.0) * u)
+    e0, tol = state.energy, TOLERANCES.energy_increase_rel
     for _ in range(40):
-        spec = (uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S))
-        cand = ScalarField._from_spectrum(grid, spec)
-        e1 = diffuse_energy(cand, state.epsilon, state.gamma0)
-        if e1 <= e0 * (1.0 + TOLERANCES.energy_increase_rel) \
-                + TOLERANCES.energy_increase_rel:
-            state.u = cand
+        with np.errstate(over="ignore", invalid="ignore"):
+            if state.multipliers is None or state.multipliers[0] != (dt, S):
+                _, lam, nonlocal_sym = _flow_symbols(grid, eps, gamma0)
+                den = 1.0 + dt * (lam + S)
+                a, b = (1.0 + dt * S - dt * nonlocal_sym) / den, (4.0 / eps) * dt / den
+                a.flat[0], b.flat[0] = 1.0, 0.0
+                state.multipliers = ((dt, S), a, b)
+            spec = state.multipliers[1] * state.u.spectrum
+            spec -= state.multipliers[2] * wh
+            try:
+                cand = ScalarField._from_spectrum(grid, spec)
+            except ValidationError:   # values past float range
+                cand = None
+        e1 = np.inf if cand is None else diffuse_energy(cand, eps, gamma0)
+        if e1 <= e0 * (1.0 + tol) + tol:
+            state.u, state.dt, state.step = cand, dt, state.step + 1
             state.time += dt
-            state.step += 1
-            state.dt = dt
             state.energy_history.append((state.step, state.time, e1))
             return state
         dt *= 0.5
         state.rejections += 1
-    raise NumericalError("flow step rejected 40 times; energy not decreasing")
+    raise NumericalError(
+        f"flow step rejected 40 times: energy {e0:.6e} -> {e1:.6e}, a rise of"
+        f" {(e1 - e0) / (e0 + 1.0):.3e} of E0 + 1 (tolerance {tol:.0e}),"
+        f" at dt={2.0 * dt:.3e}, S={S:.3e}, epsilon={eps!r}, gamma0={gamma0!r}")
 
 
 def flow_residual(state: FlowState) -> float:
     """sup |dE/du - mean(dE/du)| of the current iterate, where
     dE/du = -2 eps Lap u + W'(u)/eps + 2 gamma0 v and -Lap v = u - mean(u)."""
     u, g = state.u.values, state.u.grid
-    sym = 2.0 * _flow_symbols(g, state.epsilon, state.gamma0)[0]
-    d = g.irfft(sym * state.u.spectrum) + _well_derivative(u, state.epsilon)
+    _, lam, nonlocal_sym = _flow_symbols(g, state.epsilon, state.gamma0)
+    d = g.irfft((lam + nonlocal_sym) * state.u.spectrum) \
+        + (4.0 / state.epsilon) * u * (u**2 - 1.0)
     return float(np.abs(d - d.mean()).max())
 
 
@@ -175,12 +179,9 @@ def tanh_profile(shape: Lamella, grid: TorusGrid, epsilon: float) -> ScalarField
 
 
 def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048) -> float:
-    """Interfacial cost per interface of the 1D double-well energy.
-
-    Relaxes a two-interface strip profile at each eps (gamma0 = 0), halves
-    the energy, and linearly extrapolates the last two values in eps.
-    The continuum value is 8/3.
-    """
+    """Interfacial cost per interface of the 1D double-well energy (8/3 in the
+    limit): a relaxed two-interface strip's energy halved at each eps (gamma0 =
+    0), linearly extrapolated in eps from the last two."""
     eps_list = sorted(epsilon_list, reverse=True)
     if not eps_list:
         raise ValidationError("epsilon_list must hold at least one epsilon")
@@ -193,8 +194,7 @@ def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048) -> float:
         st = run_flow(u0, eps, 0.0, dt=eps * 1e-2, max_steps=4000,
                       stop_tol=1e-8)
         costs.append(0.5 * st.energy)
-    if len(costs) >= 2:
-        e1, e0 = eps_list[-2], eps_list[-1]
-        c1, c0 = costs[-2], costs[-1]
-        return float(c0 + (c0 - c1) * e0 / (e1 - e0))
-    return float(costs[-1])
+    if len(costs) < 2:
+        return float(costs[-1])
+    (e1, e0), (c1, c0) = eps_list[-2:], costs[-2:]
+    return float(c0 + (c0 - c1) * e0 / (e1 - e0))

@@ -1,6 +1,6 @@
 """Extreme-input sweeps: public functions drawn log-uniformly across their
 whole allowed range must return finite answers, without warnings and
-without silent caps.
+without silent caps, or fail with an error that names its quantities.
 
 Draws are seeded (derandomize) and bounded (max_examples), so the module
 stays well under a second.
@@ -11,13 +11,15 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okstab.energy import optimal_strip_count
+from okstab.flow import run_flow, tanh_profile
 from okstab.shapes import Lamella
 from okstab.stability import stability_threshold_gamma
-from okstab.torus import green_kernel_screened
+from okstab.torus import NumericalError, green_kernel_screened, make_grid
 
 sweep = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -75,3 +77,41 @@ def test_threshold_gamma_finite_positive_and_increasing(m, k):
         lo = stability_threshold_gamma(m, k).gamma_c
         hi = stability_threshold_gamma(m, k + 1).gamma_c
     assert math.isfinite(hi) and 0.0 < lo < hi, (lo, hi)
+
+
+_README_FLOW_START = tanh_profile(Lamella(k=1, m=0.0, axis=-1, dim=2),
+                                  make_grid(2, (64, 64)), 0.0625)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gamma0=log_uniform(20, 308.25))
+@example(gamma0=1e20)         # the first failure once read only "rejected 40 times"
+@example(gamma0=1e250)        # ... and from here on warned of overflow as well
+@example(gamma0=1.7e308)
+def test_flow_failure_names_its_quantities(gamma0):
+    # the README flow (64^2, eps = 1/16, dt = 1e-3) at gamma0 >= 1e20: the
+    # explicit nonlocal term drives every candidate up, or past float range,
+    # which counts as a rejection; the error names what it gave up on
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            run_flow(_README_FLOW_START, 0.0625, gamma0, 1e-3, 3)
+    msg = str(err.value)
+    for part in ("rejected 40 times", "dt=1.819e-15", "S=", "epsilon=0.0625",
+                 f"gamma0={gamma0!r}", "(tolerance 1e-12)"):
+        assert part in msg, msg
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gamma0=log_uniform(0, 308.25), dt=log_uniform(-3, 308.25))
+@example(gamma0=1e10, dt=1e300)    # dt 2 gamma0 L^-1 overflows in the multipliers
+@example(gamma0=53.3, dt=1e300)    # the README flow at an absurd step: it still steps
+def test_flow_at_any_step_size_steps_or_names_its_quantities(gamma0, dt):
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            st = run_flow(_README_FLOW_START, 0.0625, gamma0, dt, 3)
+        except NumericalError as err:
+            assert "(tolerance 1e-12)" in str(err) and f"gamma0={gamma0!r}" in str(err)
+        else:
+            assert all(math.isfinite(e) for (_, _, e) in st.energy_history)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from okstab.flow import (GAMMA0_FACTOR, FlowState, _flow_symbols, diffuse_energy
 from okstab.shapes import Lamella, lamella, rasterize
 from okstab.torus import (NumericalError, ScalarField, ValidationError,
                           make_grid)
-from oracles import count_transforms, traced_peak
+from oracles import count_transforms, reference_flow, traced_peak
 
 
 def test_gamma_conversion():
@@ -85,49 +88,52 @@ def test_step_matches_complex_reference(sizes):
     assert np.abs(st.u.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
-class _TwoFFTOracle:
-    """The step written out with every transform and symbol rebuilt.  Each
-    candidate is built from its spectrum, priced from it, and once accepted
-    hands it to the next step: 2 real FFTs per accepted step, 1 per rejected
+class _MultiplierOracle:
+    """The step written out with every transform and symbol rebuilt, in the
+    form uhat' = A uhat - B what with what = rfftn(u(u^2 - 1)),
+    A = (1 + dt S - dt 2 gamma0 L^-1) / (1 + dt (lam + S)), A_0 = 1, and
+    B = (4/eps) dt / (1 + dt (lam + S)), B_0 = 0.  Each candidate is built
+    from its spectrum, priced from it by the weight (lam + 2 gamma0 L^-1)/N^2
+    with the zero and (even n) Nyquist columns halved, and once accepted hands
+    it to the next step: 2 real FFTs per accepted step, 1 per rejected
     candidate."""
 
     def __init__(self, shape, eps, gamma0):
         ks = [np.fft.fftfreq(n, 1.0 / n) for n in shape[:-1]]
         ks.append(np.fft.rfftfreq(shape[-1], 1.0 / shape[-1]))
-        self.ksq = sum(k * k for k in np.meshgrid(*ks, indexing="ij", sparse=True))
-        self.inv = np.divide(1.0, 4.0 * np.pi**2 * self.ksq,
-                             out=np.zeros_like(self.ksq), where=self.ksq > 0)
-        self.shape, self.eps, self.gamma0 = shape, eps, gamma0
+        ksq = sum(k * k for k in np.meshgrid(*ks, indexing="ij", sparse=True))
+        inv = np.divide(1.0, 4.0 * np.pi**2 * ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        self.lam = 2.0 * eps * 4.0 * np.pi**2 * ksq
+        self.nonlocal_sym = gamma0 * (2.0 * inv)
+        self.weight = (self.lam + self.nonlocal_sym) / math.prod(shape)**2
+        self.weight[..., 0] *= 0.5
+        if shape[-1] % 2 == 0:
+            self.weight[..., -1] *= 0.5
+        self.shape, self.eps = shape, eps
 
     def irfft(self, a):
         return np.fft.irfftn(a, s=self.shape, axes=tuple(range(len(self.shape))))
 
-    def quad(self):
-        return self.eps * 4.0 * np.pi**2 * self.ksq + self.gamma0 * self.inv
-
     def energy(self, u, uh):
-        # Parseval on the half spectrum: the zero and (even n) Nyquist columns
-        # count once, every other column twice
-        power = uh.real**2 + uh.imag**2
-        power[..., 0] /= 2.0
-        if self.shape[-1] % 2 == 0:
-            power[..., -1] /= 2.0
-        parseval = 2.0 * float(np.vdot(self.quad(), power)) / u.size**2
-        return parseval + float(((u**2 - 1.0) ** 2).mean()) / self.eps
+        well = np.square(u) - 1.0
+        return (float(np.vdot(self.weight, np.square(uh.real) + np.square(uh.imag)))
+                + float(np.vdot(well, well)) / (self.eps * u.size))
 
     def residual(self, u, uh):
-        d = (self.irfft(2.0 * self.quad() * uh)
+        d = (self.irfft((self.lam + self.nonlocal_sym) * uh)
              + (4.0 / self.eps) * u * (u**2 - 1.0))
         return float(np.abs(d - d.mean()).max())
 
     def step(self, u, uh, S, dt, e0):
         """(u, its spectrum, energy, rejections) after one accepted step."""
-        lam = 2.0 * self.eps * 4.0 * np.pi**2 * self.ksq
-        nh = (np.fft.rfftn((4.0 / self.eps) * u * (u**2 - 1.0))
-              + 2.0 * self.gamma0 * self.inv * uh)
-        nh[(0,) * u.ndim] = 0.0
+        wh = np.fft.rfftn((np.square(u) - 1.0) * u)
         for rejections in range(40):
-            spec = (uh * (1.0 + dt * S) - dt * nh) / (1.0 + dt * (lam + S))
+            den = 1.0 + dt * (self.lam + S)
+            a = (1.0 + dt * S - dt * self.nonlocal_sym) / den
+            b = (4.0 / self.eps) * dt / den
+            a[(0,) * u.ndim], b[(0,) * u.ndim] = 1.0, 0.0
+            spec = a * uh
+            spec -= b * wh
             unew = self.irfft(spec)
             e1 = self.energy(unew, spec)
             if e1 <= e0 * (1.0 + 1e-12) + 1e-12:
@@ -144,7 +150,7 @@ def test_step_is_bit_identical_to_four_fft_oracle(sizes, forced):
     g = make_grid(len(sizes), sizes)
     u = 0.9 * np.tanh(2 * rng.standard_normal(sizes)) + 0.1
     st = FlowState(ScalarField(g, u.copy()), epsilon=0.1, gamma0=30.0, dt=1e-4)
-    oracle = _TwoFFTOracle(sizes, 0.1, 30.0)
+    oracle = _MultiplierOracle(sizes, 0.1, 30.0)
     uh = np.fft.rfftn(u)
     energies, rejections = [oracle.energy(u, uh)], 0
     for i in range(6):
@@ -178,6 +184,59 @@ def test_accepted_step_footprint():
     # the caches the warm-up call hides: one (grid, eps, gamma0) key keeps
     # no more than three real half-spectrum arrays
     assert _flow_symbols(g, 0.0625, 100.0).nbytes <= 3 * 256 * 129 * 8
+
+
+def test_state_holds_the_multipliers_of_its_current_dt_and_shift_only():
+    # 250 steps at 256^2 across two shift refreshes (steps 100 and 200) and
+    # one forced rejection episode: what the run leaves allocated is the
+    # state's field (values and spectrum) and one (A, B) pair, for the
+    # (dt, S) it last stepped with; one more pair kept anywhere (0.53 MB)
+    # would cross the bar
+    g = make_grid(2, (256, 256))
+    rng = np.random.default_rng(6)
+    u = ScalarField(g, 0.9 * np.tanh(2 * rng.standard_normal(g.sizes)) + 0.1)
+    _flow_symbols(g, 0.0625, 100.0), u.spectrum          # warm the caches
+    tracemalloc.start()
+    try:
+        st = FlowState(u, epsilon=0.0625, gamma0=100.0, dt=1e-5)
+        for i in range(250):
+            if i == 150:
+                st.stabilization = 1e-12     # undersized shift: explicit blow-up
+            flow_step(st, dt=10.0 if i == 150 else None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert st.step == 250 and st.rejections > 0
+    field_bytes = st.u.values.nbytes + st.u.spectrum.nbytes
+    (key, a, b) = st.multipliers
+    assert held <= field_bytes + a.nbytes + b.nbytes + 0.25e6, held / 1e6
+    assert key == (st.dt, st.stabilization)
+    oracle = _MultiplierOracle(g.sizes, 0.0625, 100.0)
+    den = 1.0 + st.dt * (oracle.lam + st.stabilization)
+    want_b = (4.0 / 0.0625) * st.dt / den
+    want_b[0, 0] = 0.0
+    assert np.array_equal(b, want_b) and a[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("n, eps, gamma0, dt, steps, noise_seed", [
+    (64, 1 / 16, 53.3, 1e-3, 1000, None),                      # the README flow
+    (256, 0.0125, sharp_gamma_to_gamma0(20.0), 1e-5, 400, 5)],  # A8's stable return
+    ids=["readme-64", "a8-return-256"])
+def test_flow_matches_the_first_written_step(n, eps, gamma0, dt, steps, noise_seed):
+    # the multiplier step against the step as first written (oracles): the
+    # zero mode, the well's 4/eps and the pricing weights are rounded
+    # differently, nothing more
+    g = make_grid(2, (n, n))
+    u0 = tanh_profile(lamella(1, 0.0), g, eps)
+    if noise_seed is not None:
+        noisy = u0.values + 0.02 * np.random.default_rng(noise_seed).standard_normal(g.sizes)
+        u0 = ScalarField(g, noisy - noisy.mean() + u0.mean())
+    st = run_flow(u0, eps, gamma0, dt, steps)
+    want, energies, rejections = reference_flow(u0.values, eps, gamma0, dt, steps)
+    got = np.array([e for (_, _, e) in st.energy_history])
+    assert st.step == steps and st.rejections == rejections
+    assert np.abs(st.u.values - want).max() <= 1e-13
+    assert np.abs(got / energies - 1.0).max() <= 1e-14
 
 
 def test_energy_monotone_decrease():

@@ -253,6 +253,19 @@ def test_mode_one_is_critical():
         assert mu == pytest.approx(want, rel=1e-12), (k, m, q)
 
 
+def test_closed_form_gamma_c_pins_a6_frozen_value():
+    # A6 keeps its 2e-6 bar; the closed form meets its frozen gamma_c to
+    # 1.4e-14 (1.5e-16 relative), so a 1e-12 relative check tells a frozen
+    # value moved by 1e-10 (1.05e-12 relative)
+    from test_acceptance import GAMMA_C
+    got = stability_threshold_gamma(0.0, 1).gamma_c
+
+    def matches(frozen):
+        return abs(got - frozen) <= 1e-12 * frozen
+    assert GAMMA_C == GAMMA_C_SINGLE_STRIP and matches(GAMMA_C)
+    assert not matches(GAMMA_C + 1e-10) and not matches(GAMMA_C - 1e-10)
+
+
 def test_threshold_gamma_cubic_growth():
     # gamma_c/k^3 = (3/(a b)^2)(1 + (3 - c^2) x^2/30 + O(x^4)), x = pi/k, c = m
     for m in (-0.8, 0.0, 0.5):
