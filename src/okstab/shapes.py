@@ -39,6 +39,8 @@ class Lamella:
         a = self.a
         if a <= 0.0 or a >= 1.0:
             raise ValidationError("degenerate strip width")
+        if not -self.dim <= self.axis < self.dim:
+            raise ValidationError(f"axis must lie in [-{self.dim}, {self.dim}), got {self.axis!r}")
         object.__setattr__(self, "axis", self.axis % self.dim)
 
     @property

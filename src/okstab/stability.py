@@ -5,12 +5,15 @@ assembly for discretized curves in T^2, constrained eigenanalysis with the
 translation directions projected out, thresholds in gamma and in the strip
 count, and finite-difference validation of the form against the full
 energy.  The lamella mode matrix is linear in gamma,
-M(q) = 4 pi^2 q^2 I + gamma A(q), so one scan over the lowest eigenpairs of
-the gamma-free A(q) gives the minimal eigenvalue at any gamma, and the
-threshold gamma_c is closed form.  A shift by 1/k maps the lamella onto
-itself, so A(q) splits into k Hermitian 2x2 Bloch blocks given by one
-length-k FFT; the dense M(q) serves lamella_form_value and is the reference
-the scan and the closed form are tested against.
+M(q) = 4 pi^2 q^2 I + gamma A(q): at one gamma, a scan over q of the lowest
+eigenvalue of the gamma-free A(q), closed by a Gershgorin bound, gives the
+minimal eigenvalue, and the threshold gamma_c is closed form.  A shift by
+1/k maps the lamella onto itself, so A(q) splits into k Hermitian 2x2 Bloch
+blocks given by one length-k FFT; the dense M(q) serves lamella_form_value
+and is the reference the scan and the closed form are tested against.  On
+curves, uniform-parameter nodes make each component's self-panel
+quadrature circulant in i - j, and the arc-length mass is diagonal, so the
+constrained eigensolve whitens by W^(-1/2) and takes one symmetric eigh.
 """
 
 from __future__ import annotations
@@ -199,23 +202,21 @@ class QuadraticFormMatrix:
         return float(phi @ self.matrix @ phi)
 
 
-def _log_quadrature_block(n: int) -> np.ndarray:
-    """Trig-exact quadrature of the periodic log kernel.
+def _self_panel(n: int) -> np.ndarray:
+    """Self-panel correction of an n-node component per speed product
+    sp_i sp_j (its nodes' weights are speeds / n): circulant, c_{(i - j) mod n}.
 
-    Q_ij approximates the double integral of -(1/2pi) log(2|sin pi(t-s)|)
-    against node densities: Q_ij = (1/n^2) sum_nu chat_nu e^{2pi i nu dt},
-    with chat_nu = 1/(4 pi |nu|) the kernel's Fourier coefficients.  Q
-    depends on the node pair only through dt, so the mode sum is taken once
-    per distinct offset (a few per i - j), not once per pair.
+    The log kernel -(1/2pi) log(2|sin pi(t-s)|) has Fourier coefficients
+    1/(4 pi |nu|), nu != 0; its trig-exact product quadrature on n uniform
+    nodes is the truncated series, one irfft (which halves an even n's
+    Nyquist term).  The pair loop sums G alone, so for d != 0 the column
+    adds the log(2|sin pi d/n|)/(2 pi n^2) that turns G into its smooth
+    remainder (Kress, Linear Integral Equations, ch. 12).
     """
-    t = np.arange(n) / n
-    dt, inv = np.unique(t[:, None] - t[None, :], return_inverse=True)
-    nu = np.arange(1, n // 2 + 1)
-    w = np.ones_like(nu, dtype=float)
-    if n % 2 == 0:
-        w[-1] = 0.5
-    cosd = np.cos(2.0 * np.pi * dt[:, None] * nu)
-    return ((cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2)[inv].reshape(n, n)
+    d = np.arange(n)
+    col = np.fft.irfft(np.r_[0.0, 1.0 / (4.0 * np.pi * d[1:n // 2 + 1])], n)
+    col[1:] += np.log(2.0 * np.sin(np.pi * np.minimum(d, n - d)[1:] / n)) / (2.0 * np.pi * n)
+    return (col / n)[(d[:, None] - d) % n]
 
 
 def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMatrix:
@@ -223,11 +224,13 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
 
     Blocks: tangential Dirichlet energy (spectral differentiation per
     component), -kappa^2 mass term, 8 gamma double-layer of the torus Green
-    function with the log singularity handled by a trig-exact product
-    quadrature on the self panels, and the 4 gamma (normal derivative of v)
-    mass term.  Memory: at most three n x n arrays at once (21 MB for a k=2
-    lamella, 256 nodes per interface); the Green function takes _GREEN_CHUNK
-    node pairs at a time, other temporaries are per component or O(n).
+    function, and the 4 gamma (normal derivative of v) mass term.  The Green
+    function is summed on node pairs alone; each component's self panel adds
+    the trig-exact product quadrature of the log singularity, the circulant
+    block _self_panel scaled by sp_i sp_j.  Memory: at most three n x n
+    arrays at once (19 MB for a k=2 lamella, 256 nodes per interface); the
+    Green function takes _GREEN_CHUNK node pairs at a time, other
+    temporaries are per component or O(n).
     """
     _check_gamma(gamma)
     n = len(mesh.points)
@@ -254,29 +257,21 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
 
     if gamma > 0:
         # nonlocal block: the symmetric Green function on node pairs i < j, a
-        # product quadrature; on a component's self panel the smooth remainder
-        # G + (1/2pi) log(2|sin pi dt|), plus the log kernel's trig-exact block
-        # per node: its parameter on its component, and that component's end
-        t, end = np.hstack([(np.arange(i1 - i0) / (i1 - i0), np.full(i1 - i0, i1))
-                            for (i0, i1) in mesh.components])
+        # product quadrature; each self panel adds its circulant correction
         ends = np.cumsum(np.arange(n - 1, 0, -1))    # pairs in rows 0..i
         G = np.empty((n, n))
         for p0 in range(0, ends[-1], _GREEN_CHUNK):
             p = np.arange(p0, min(p0 + _GREEN_CHUNK, ends[-1]))
             i = np.searchsorted(ends, p, side="right")
             j = p - ends[i] + n
-            gij = green_function_2d(mesh.points[i], mesh.points[j])
-            same = j < end[i]
-            gij[same] += np.log(2.0 * np.abs(np.sin(np.pi * (t[i[same]] - t[j[same]])))
-                                ) / (2.0 * np.pi)
-            G[i, j] = G[j, i] = gij
+            G[i, j] = G[j, i] = green_function_2d(mesh.points[i], mesh.points[j])
         G.flat[::n + 1] = (green2d_self_regularized()
                            + np.log(2.0 * np.pi / mesh.speeds) / (2.0 * np.pi))
         G *= W[:, None]
         G *= W
         for (i0, i1) in mesh.components:
             sp = mesh.speeds[i0:i1]
-            G[i0:i1, i0:i1] += _log_quadrature_block(i1 - i0) * sp[:, None] * sp[None, :]
+            G[i0:i1, i0:i1] += _self_panel(i1 - i0) * np.outer(sp, sp)
         G *= 8.0 * gamma
         A = np.add(A, G, out=G)     # the form takes over G's memory
         A.flat[::n + 1] += 4.0 * gamma * (W * dnv)
@@ -297,21 +292,21 @@ def assemble_boundary_form(mesh: BoundaryMesh, gamma: float) -> QuadraticFormMat
 def constrained_min_eig(form: QuadraticFormMatrix) -> StabilityReport:
     """Minimal L^2 Rayleigh quotient of the form on the constrained complement.
 
-    Constraints (total mean and the translation functionals with nonzero
-    frame norm) are removed by an SVD nullspace; the quotient is taken
-    against the arc-length L^2 mass, whitened by its Cholesky factor for one
-    symmetric eigh.
+    The arc-length mass W is diagonal, so phi = r y with r = W^(-1/2) turns
+    the quotient into y'(r A r)y / y'y.  The constraints C phi = 0 (total
+    mean and the translation functionals with nonzero frame norm) become
+    (C r) y = 0, whose orthonormal nullspace Z comes from one SVD; one
+    symmetric eigh of Z'(r A r)Z gives the minimum, and its eigenvector
+    phi = r Z u has phi'W phi = 1.
     """
     C = np.atleast_2d(form.constraints)
-    _, sv, Vt = np.linalg.svd(C)
+    r = 1.0 / np.sqrt(form.weights)
+    _, sv, Vt = np.linalg.svd(C * r)
     if np.count_nonzero(sv > 1e-12) < C.shape[0]:
         raise ValidationError("constraint functionals are rank deficient")
-    Z = Vt[C.shape[0]:].T
-    Ared = Z.T @ form.matrix @ Z
-    Bred = (Z.T * form.weights) @ Z
-    Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Bred + Bred.T)))
-    w, U = np.linalg.eigh(Li @ (0.5 * (Ared + Ared.T)) @ Li.T)
-    vec = Z @ (Li.T @ U[:, 0])
+    R = Vt[C.shape[0]:].T * r[:, None]
+    w, U = np.linalg.eigh(R.T @ form.matrix @ R)
+    vec = R @ U[:, 0]
     return StabilityReport(float(w[0]), "constrained", vec,
                            scan={"n": form.matrix.shape[0],
                                  "n_constraints": C.shape[0]})

@@ -48,6 +48,20 @@ def _fft_wavenumbers(n: int) -> np.ndarray:
     return ((np.arange(n) + n // 2) % n - n // 2).astype(float)
 
 
+def log_quadrature_per_pair(n: int) -> np.ndarray:
+    """Trig-exact product quadrature of the periodic log kernel
+    -(1/2pi) log(2|sin pi(t - s)|) on n uniform nodes, per speed product:
+    Q_ij = (1/n^2) sum_nu w_nu cos(2 pi nu (t_i - t_j)) / (2 pi nu) over
+    nu = 1..n/2 (the kernel's Fourier coefficients 1/(4 pi |nu|), an even
+    n's Nyquist term halved), summed for every node pair on its own."""
+    t = np.arange(n) / n
+    q = np.zeros((n, n))
+    for nu in range(1, n // 2 + 1):
+        w = 0.5 if 2 * nu == n else 1.0
+        q += w / (2.0 * np.pi * nu) * np.cos(2.0 * np.pi * nu * (t[:, None] - t[None, :]))
+    return q / n**2
+
+
 def reference_flow(u: np.ndarray, eps: float, gamma0: float, dt: float, steps: int):
     """The stabilized semi-implicit flow as the step was first written, on the
     values alone: each step assembles the explicit spectrum nh = rfftn((4/eps)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from okstab.energy import optimal_strip_count
 from okstab.flow import run_flow, tanh_profile
-from okstab.shapes import Lamella
-from okstab.stability import stability_threshold_gamma
+from okstab.shapes import Droplet, Lamella, boundary_mesh
+from okstab.stability import assemble_boundary_form, constrained_min_eig, stability_threshold_gamma
 from okstab.torus import NumericalError, green_kernel_screened, make_grid
 
 sweep = settings(derandomize=True, deadline=None, max_examples=150)
@@ -77,6 +77,43 @@ def test_threshold_gamma_finite_positive_and_increasing(m, k):
         lo = stability_threshold_gamma(m, k).gamma_c
         hi = stability_threshold_gamma(m, k + 1).gamma_c
     assert math.isfinite(hi) and 0.0 < lo < hi, (lo, hi)
+
+
+def _check_form_and_eigensolve(mesh, gamma):
+    """The form and its constrained eigenpair are finite, raise no warning,
+    and the eigenvector meets every constraint to 1e-10 of |row| |phi|."""
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        form = assemble_boundary_form(mesh, gamma)
+        rep = constrained_min_eig(form)
+    phi, C = rep.eigenvector, form.constraints
+    assert np.isfinite(form.matrix).all() and math.isfinite(rep.min_eigenvalue)
+    assert np.isfinite(phi).all()
+    residual = np.abs(C @ phi) / (np.linalg.norm(C, axis=1) * np.linalg.norm(phi))
+    assert residual.max() <= 1e-10, residual     # measured <= 9e-16
+
+
+_FORM_GAMMAS = st.sampled_from([0.0, 1e-12, 1e6, 1e12])
+_FORM_NODES = st.sampled_from([64, 65, 97])
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(k=st.integers(1, 2), m=st.floats(-0.999, 0.999), n=_FORM_NODES, gamma=_FORM_GAMMAS)
+@example(k=1, m=0.999, n=97, gamma=1e12)
+@example(k=2, m=-0.999, n=65, gamma=1e-12)
+@example(k=1, m=-0.999, n=64, gamma=1e6)
+def test_lamella_form_and_eigensolve_finite_and_constrained(k, m, n, gamma):
+    _check_form_and_eigensolve(boundary_mesh(Lamella(k=k, m=m), n), gamma)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(r=log_uniform(-3, math.log10(0.49)), n=_FORM_NODES, gamma=_FORM_GAMMAS)
+@example(r=1e-3, n=64, gamma=1e12)     # a droplet well inside one cell of the 256^2 grid
+@example(r=1e-3, n=97, gamma=1e-12)
+@example(r=0.49, n=65, gamma=1e6)      # all but touching itself across the torus
+@example(r=0.49, n=97, gamma=0.0)
+def test_droplet_form_and_eigensolve_finite_and_constrained(r, n, gamma):
+    _check_form_and_eigensolve(boundary_mesh(Droplet((0.3, 0.6), r), n), gamma)
 
 
 _README_FLOW_START = tanh_profile(Lamella(k=1, m=0.0, axis=-1, dim=2),

@@ -13,7 +13,7 @@ from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            alpha_distance, boundary_mesh, graph_alpha,
                            lamella, load_shape, perimeter_exact,
                            perimeter_grid, periodic_samples, rasterize,
-                           save_shape)
+                           record_to_shape, save_shape)
 from okstab.torus import (ScalarField, ValidationError, make_grid,
                           solve_poisson_periodic, trig_interpolate)
 from oracles import (circle_distance, graph_perimeter_resampled, grid_coords,
@@ -44,6 +44,23 @@ def test_lamella_validation():
             Droplet((bad, 0.5), 0.2)
     with pytest.raises(ValidationError):
         DropletSet((Droplet((0.3, 0.3), 0.2), Droplet((0.4, 0.4), 0.2)))
+
+
+@pytest.mark.parametrize("axis, dim", [(5, 2), (2, 2), (-3, 2), (9, 2), (1, 1), (3, 3)])
+def test_lamella_axis_out_of_range_is_named(axis, dim):
+    # axis % dim once turned axis=5 (or a shape file's axis=9) into axis 1
+    with pytest.raises(ValidationError, match="axis"):
+        Lamella(k=1, m=0.0, axis=axis, dim=dim)
+    with pytest.raises(ValidationError, match="axis"):
+        record_to_shape({"kind": "lamella", "k": "1", "m": "0.0", "axis": str(axis),
+                         "dim": str(dim)})
+
+
+def test_lamella_axis_in_range_is_kept_nonnegative():
+    for axis, want in ((-2, 0), (-1, 1), (0, 0), (1, 1)):
+        assert Lamella(k=1, m=0.0, axis=axis, dim=2).axis == want
+        assert record_to_shape({"kind": "lamella", "k": "1", "m": "0.0",
+                                "axis": str(axis)}).axis == want
 
 
 def test_rasterize_alphabet_and_mean():

@@ -11,14 +11,15 @@ from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
                            periodic_samples)
 from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
-                              _d_over_cube, _log_quadrature_block, assemble_boundary_form,
+                              _d_over_cube, _self_panel, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
                               lamella_mode_matrix, stability_threshold_gamma,
                               stability_threshold_k)
 from okstab.torus import (NumericalError, ValidationError, green2d_self_regularized,
                           green_function_2d)
-from oracles import (gamma_c_mode_scan, interface_normal_derivative, traced_peak,
+from oracles import (gamma_c_mode_scan, interface_normal_derivative,
+                     log_quadrature_per_pair, traced_peak,
                      translation_form_value)
 
 GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
@@ -341,20 +342,30 @@ def test_boundary_form_reproduces_mode_matrices():
             assert abs(ray - w[i]) < 0.01 * abs(w[i]), (q, i)
 
 
+def _log_sin_term(n):
+    """log(2|sin pi(i - j)/n|)/(2 pi n^2) off the diagonal, 0 on it."""
+    d = np.arange(n)
+    off = ~np.eye(n, dtype=bool)
+    out = np.zeros((n, n))
+    out[off] = np.log(2.0 * np.abs(np.sin(np.pi * (d[:, None] - d)[off] / n)))
+    return out / (2.0 * np.pi * n**2)
+
+
 def test_log_quadrature_matches_per_pair_sum():
-    # reference: the mode sum evaluated separately for every node pair
+    # reference: the mode sum evaluated separately for every node pair, plus
+    # the log-sin term that the column carries in place of the pair loop
     for n in (7, 8, 64, 65, 128):
-        t = np.arange(n) / n
-        nu = np.arange(1, n // 2 + 1)
-        w = np.where(2 * nu == n, 0.5, 1.0)
-        cosd = np.cos(2.0 * np.pi * (t[:, None] - t[None, :])[..., None] * nu)
-        want = (cosd * (w / (2.0 * np.pi * nu))).sum(axis=-1) / n**2
-        assert np.array_equal(_log_quadrature_block(n), want), n
+        got = _self_panel(n)
+        want = log_quadrature_per_pair(n) + _log_sin_term(n)
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 4e-15, (n, err)     # measured <= 2.5e-15 (n = 128)
 
 
-def _all_pairs_form(mesh, gamma):
+def _all_pairs_form(mesh, gamma, log_sin=True):
     """Reference assembly: the Green function on all n^2 - n ordered node
-    pairs in one call, dense diagonal matrices and out-of-place sums."""
+    pairs in one call, made smooth on each self panel by its log-sin term
+    (dropped when log_sin is False), dense diagonal matrices, out-of-place
+    sums, and the log kernel's quadrature summed per node pair."""
     n = len(mesh.points)
     W = mesh.weights
     A = np.zeros((n, n))
@@ -381,13 +392,14 @@ def _all_pairs_form(mesh, gamma):
             sin_t = 2.0 * np.abs(np.sin(np.pi * (t[:, None] - t[None, :])))
             diag = np.eye(nc, dtype=bool)
             blk = G[i0:i1, i0:i1]
-            blk[~diag] += np.log(sin_t[~diag]) / (2.0 * np.pi)
+            if log_sin:
+                blk[~diag] += np.log(sin_t[~diag]) / (2.0 * np.pi)
             blk[diag] = (green2d_self_regularized()
                          + np.log(2.0 * np.pi / mesh.speeds[i0:i1]) / (2.0 * np.pi))
         G = G * W[:, None] * W[None, :]
         for (i0, i1) in mesh.components:
             sp = mesh.speeds[i0:i1]
-            G[i0:i1, i0:i1] += _log_quadrature_block(i1 - i0) * sp[:, None] * sp[None, :]
+            G[i0:i1, i0:i1] += log_quadrature_per_pair(i1 - i0) * sp[:, None] * sp[None, :]
         A += 8.0 * gamma * G
         if isinstance(mesh.shape, Lamella):
             dnv = mesh.shape.dnv
@@ -418,9 +430,19 @@ def _two_droplet_mesh(n):
     ids=["droplet256", "droplet64-wrapped", "two-droplets", "lamella-k1",
          "lamella-k2", "graph", "gamma0"])
 def test_boundary_form_matches_all_pairs_assembly(mesh, gamma):
-    # chunked upper-triangle Green block, in-place blocks: the same bits
-    form = assemble_boundary_form(mesh, gamma)
-    assert np.array_equal(form.matrix, _all_pairs_form(mesh, gamma))
+    # the self panels sum in another order than the reference: measured
+    # <= 2.8e-18 max|A| (droplet64-wrapped), 0 on the lamellae
+    A = assemble_boundary_form(mesh, gamma).matrix
+    assert np.abs(A - _all_pairs_form(mesh, gamma)).max() <= 1e-16 * np.abs(A).max()
+
+
+def test_all_pairs_comparison_fails_without_the_log_sin_term():
+    # the lamella-k1 case above, against a reference without the self
+    # panels' log-sin term: off by 1.7e-7 max|A|, the least of the six
+    # gamma > 0 cases (measured), so that comparison can fail
+    mesh = boundary_mesh(lamella(1, 0.1), 256)
+    A = assemble_boundary_form(mesh, 2.0).matrix
+    assert np.abs(A - _all_pairs_form(mesh, 2.0, log_sin=False)).max() > 1e-8 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("shape, n, limit_mb", [
@@ -519,6 +541,27 @@ def test_constrained_min_eig_matches_generalized_eigh(shape, gamma):
     vec = rep.eigenvector
     assert abs(vec @ form.matrix @ vec / (vec @ B @ vec) - want) <= 1e-10 * abs(want)
     assert np.abs(form.constraints @ vec).max() < 1e-10 * np.abs(vec).max()
+
+
+def test_constrained_min_eig_on_varying_weights():
+    # a graph perturbation's nodes carry unequal arc-length weights, so the
+    # whitening by W^-1/2 is not a mere rescaling: the eigenpair must still
+    # solve the generalized problem, meet the constraints and have phi' W phi = 1
+    from scipy.linalg import eigh
+    psi = 0.05 * np.cos(2 * np.pi * np.outer([1, 3], np.arange(16)) / 16)
+    form = assemble_boundary_form(boundary_mesh(GraphPerturbation(lamella(1, 0.1), psi), 96),
+                                  2.5)
+    W = form.weights
+    assert W.max() > 1.1 * W.min()
+    rep = constrained_min_eig(form)
+    _, _, Vt = np.linalg.svd(form.constraints)
+    Z = Vt[len(form.constraints):].T
+    want = eigh(Z.T @ form.matrix @ Z, (Z.T * W) @ Z, eigvals_only=True)[0]
+    assert abs(rep.min_eigenvalue - want) <= 1e-10 * abs(want)
+    phi = rep.eigenvector
+    assert abs(phi @ (W * phi) - 1.0) < 1e-12
+    assert abs(phi @ form.matrix @ phi - want) <= 1e-10 * abs(want)
+    assert np.abs(form.constraints @ phi).max() < 1e-10 * np.abs(phi).max()
 
 
 @pytest.mark.parametrize("call, name", [
