@@ -43,7 +43,7 @@ TOLERANCES = Tolerances()
 # grid defaults
 MIN_GRID_SIZE = 8
 DEFAULT_FIELD_GRID = 256      # per-axis raster of a grid potential in 1D and 2D
-DEFAULT_Q2_MODES = 512        # vertical modes of the graph nonlocal remainder (tail ~Q^-5)
+DEFAULT_Q2_MODES = 512        # graph nonlocal remainder modes, not an argument (tail ~Q^-5)
 
 
 def read_key_values(path: str) -> dict:

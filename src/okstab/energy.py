@@ -17,8 +17,8 @@ import numpy as np
 from .config import DEFAULT_FIELD_GRID, DEFAULT_Q2_MODES
 from .shapes import (BoundaryMesh, GraphPerturbation, Lamella, LamellaPotential,
                      ShapeConfig, perimeter_exact, perimeter_grid, rasterize)
-from .torus import (ScalarField, TorusGrid, ValidationError, _check_count, _wavenumbers,
-                    make_grid, trig_interpolate)
+from .torus import (ScalarField, TorusGrid, ValidationError, _wavenumbers, make_grid,
+                    trig_interpolate)
 
 
 def _check_gamma(gamma: float):
@@ -238,38 +238,39 @@ def strip_disc_crossing() -> float:
 
 # q2 = lo + a + r (lo a multiple of _CHUNK_ROWS, a of _PHASE_BLOCK, r = 1..
 # _PHASE_BLOCK), so a phase is a product of three table entries, all powers of
-# z = e^{-2 pi i h}.  The mode sum runs one in-cache chunk (~0.5 MB) at a time,
-# which the interface matmul fills in place
+# z = e^{-2 pi i h}.  The mode sum runs one in-cache chunk (~0.5 MB at 128
+# nodes) at a time, which the interface matmul fills in place; DEFAULT_Q2_MODES
+# is a whole number of chunks
 _PHASE_BLOCK = 32
 _CHUNK_ROWS = 256
+GRAPH_NONLOCAL_NODES = 128    # lateral nodes of the graph nonlocal term (psi's own if more)
 
 
-@functools.lru_cache(maxsize=4)     # 1 MB each at the default sizes
-def _mode_weights(n_lat: int, q2_modes: int) -> np.ndarray:
-    """w - w0 for q2 = 1..q2_modes and the fft order of q1: the weight
+@functools.lru_cache(maxsize=4)     # 1 MB each at 128 nodes
+def _mode_weights(n_lat: int) -> np.ndarray:
+    """w - w0 for q2 = 1..DEFAULT_Q2_MODES and the fft order of q1: the weight
     w = 2 / ((pi q2 n_lat)^2 4 pi^2 |xi|^2) less its q1 = 0 value w0, each
     entry twice (real and imaginary part), read-only."""
     q1 = _wavenumbers(n_lat)
-    q2 = np.arange(1, q2_modes + 1)[:, None]
+    q2 = np.arange(1, DEFAULT_Q2_MODES + 1)[:, None]
     w = -2.0 * q1**2 / (4.0 * np.pi**4 * n_lat**2 * q2**4 * (q1**2 + q2**2))
     out = np.repeat(w, 2, axis=1)
     out.flags.writeable = False
     return out
 
 
-def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
-                          q2_modes: int = DEFAULT_Q2_MODES) -> float:
+def graph_nonlocal_energy(gp: GraphPerturbation) -> float:
     """Nonlocal term of a graph perturbation, smooth in the heights.
 
     The vertical Fourier coefficients of the indicator are exact in the
-    heights; the lateral direction is resolved spectrally on n_lat nodes.
-    The q1 = 0 part of each vertical mode's weight is summed over all modes in
-    closed form, the rest up to q2_modes (tail ~ q2_modes^-5).  Unlike the
-    rasterized pipeline this is differentiable in the heights, which
-    finite-difference energy checks require.
+    heights; the lateral direction is resolved spectrally on
+    GRAPH_NONLOCAL_NODES nodes, or psi's own if more, so no sample of psi is
+    aliased.  The q1 = 0 part of each vertical mode's weight is summed over
+    all modes in closed form, the rest over DEFAULT_Q2_MODES modes (tail
+    ~Q^-5).  Unlike the rasterized pipeline this is differentiable in the
+    heights, which finite-difference energy checks require.
     """
-    _check_count("n_lat", n_lat, 2)
-    _check_count("q2_modes", q2_modes, 1)
+    n_lat = max(GRAPH_NONLOCAL_NODES, gp.psi.shape[1])
     hts = gp.heights(n_lat)                      # (2k, n_lat)
     # q2 = 0 row: lateral variation of the strip widths
     row0 = 2.0 * ((hts[1::2] - hts[0::2]) % 1.0).sum(axis=0)
@@ -292,20 +293,17 @@ def graph_nonlocal_energy(gp: GraphPerturbation, n_lat: int = 128,
     step, a_tab = a_tab[:, -1:], a_tab * (-sgn / zb)     # z^_CHUNK_ROWS; -sgn zb^a
     coef = np.empty((_CHUNK_ROWS, n_lat), dtype=complex)
     rows_by_x = coef.reshape(-1, _PHASE_BLOCK, n_lat).transpose(2, 0, 1)
-    for lo in range(0, q2_modes, _CHUNK_ROWS):
+    for lo in range(0, DEFAULT_Q2_MODES, _CHUNK_ROWS):
         np.matmul(a_tab, r_tab, out=rows_by_x)   # sum over interfaces
         a_tab *= step
-        chunk = coef[:min(_CHUNK_ROWS, q2_modes - lo)]
-        spec = np.fft.fft(chunk, axis=1, out=chunk).view(np.float64)
+        spec = np.fft.fft(coef, axis=1, out=coef).view(np.float64)
         spec *= spec
-        total += float(np.vdot(_mode_weights(n_lat, q2_modes)[lo:lo + len(chunk)], spec))
+        total += float(np.vdot(_mode_weights(n_lat)[lo:lo + _CHUNK_ROWS], spec))
     return total
 
 
-def graph_energy(gp: GraphPerturbation, gamma: float,
-                 n_lat: int = 128, q2_modes: int = DEFAULT_Q2_MODES) -> EnergyBreakdown:
-    return EnergyBreakdown(perimeter_exact(gp),
-                           graph_nonlocal_energy(gp, n_lat, q2_modes), gamma)
+def graph_energy(gp: GraphPerturbation, gamma: float) -> EnergyBreakdown:
+    return EnergyBreakdown(perimeter_exact(gp), graph_nonlocal_energy(gp), gamma)
 
 
 def volume_corrected_perturbation(base: Lamella, psi: np.ndarray) -> GraphPerturbation:

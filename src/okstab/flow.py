@@ -59,31 +59,29 @@ class FlowState:
     u: ScalarField
     epsilon: float
     gamma0: float
-    time: float = 0.0
-    step: int = 0
     dt: float = 1e-4
-    energy_history: list = field(default_factory=list)
-    stabilization: float = 0.0
-    mean0: float = None
-    rejections: int = 0
-    stop_reason: str | None = None   # set by run_flow: "converged" or "max_steps"
+    time: float = field(default=0.0, init=False)
+    step: int = field(default=0, init=False)
+    energy_history: list = field(default_factory=list, init=False)
+    stabilization: float = field(default=0.0, init=False)
+    mean0: float = field(init=False)
+    rejections: int = field(default=0, init=False)
+    stop_reason: str | None = field(default=None, init=False)  # set by run_flow
     multipliers: tuple = field(default=None, init=False, repr=False)  # ((dt, S), A, B)
 
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.mean0 is None:
-            self.mean0 = self.u.mean()
+        self.mean0 = self.u.mean()
         e0 = diffuse_energy(self.u, self.epsilon, self.gamma0)   # checks epsilon, gamma0
-        if not self.energy_history:
-            self.energy_history.append((0, 0.0, e0))
+        self.energy_history.append((0, 0.0, e0))
 
     @property
     def energy(self) -> float:
         return self.energy_history[-1][2]
 
 
-def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
+def flow_step(state: FlowState) -> FlowState:
     """One stabilized semi-implicit step uhat' = A uhat - B what, what the
     transform of u(u^2-1); mean(u) is preserved exactly.
 
@@ -93,8 +91,9 @@ def flow_step(state: FlowState, dt: float | None = None) -> FlowState:
     W(u) = (u^2-1)^2, refreshed every 100 steps.  The state holds A and B for
     its current (dt, S) only.  2 real FFTs per accepted step, 1 more per
     rejected candidate, one whose energy is not finite or rises beyond
-    round-off (dt halves); after 40, NumericalError names the quantities."""
-    dt = state.dt if dt is None else dt
+    round-off (dt halves); after 40, NumericalError names the quantities.
+    The step starts from state.dt and leaves there the dt it accepted."""
+    dt = state.dt
     if not 0.0 < dt < np.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     u, grid, eps, gamma0 = state.u.values, state.u.grid, state.epsilon, state.gamma0
@@ -178,23 +177,16 @@ def tanh_profile(shape: Lamella, grid: TorusGrid, epsilon: float) -> ScalarField
     return ScalarField._adopt(grid, np.sign(ind.values) * np.tanh(dist / epsilon))
 
 
-def profile_constant(epsilon_list=(0.04, 0.02), n: int = 2048) -> float:
+def profile_constant() -> float:
     """Interfacial cost per interface of the 1D double-well energy (8/3 in the
-    limit): a relaxed two-interface strip's energy halved at each eps (gamma0 =
-    0), linearly extrapolated in eps from the last two."""
-    eps_list = sorted(epsilon_list, reverse=True)
-    if not eps_list:
-        raise ValidationError("epsilon_list must hold at least one epsilon")
-    grid = make_grid(1, (n,))
+    limit): a relaxed two-interface strip's energy halved at eps = 0.04 and
+    0.02 on 2048 points (gamma0 = 0), linearly extrapolated in eps to 0."""
+    grid, eps_pair = make_grid(1, (2048,)), (0.04, 0.02)
     costs = []
-    for eps in eps_list:
-        if eps < 4.0 / n:
-            raise ValidationError(f"epsilon {eps} under-resolved on {n} points")
+    for eps in eps_pair:
         u0 = tanh_profile(Lamella(k=1, m=0.0, axis=0, dim=1), grid, eps)
         st = run_flow(u0, eps, 0.0, dt=eps * 1e-2, max_steps=4000,
                       stop_tol=1e-8)
         costs.append(0.5 * st.energy)
-    if len(costs) < 2:
-        return float(costs[-1])
-    (e1, e0), (c1, c0) = eps_list[-2:], costs[-2:]
+    (e1, e0), (c1, c0) = eps_pair, costs
     return float(c0 + (c0 - c1) * e0 / (e1 - e0))

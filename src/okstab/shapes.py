@@ -241,6 +241,8 @@ def perimeter_exact(shape: ShapeConfig) -> float:
     if isinstance(shape, Lamella):
         return 2.0 * shape.k
     if isinstance(shape, Droplet):
+        if shape.dim == 1:     # an interval: its boundary is two points
+            return 2.0
         if shape.dim == 2:
             return 2.0 * np.pi * shape.radius
         return 4.0 * np.pi * shape.radius**2

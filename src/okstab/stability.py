@@ -45,10 +45,7 @@ class LamellaModeMatrix:
     dnv is the outward normal derivative of the lamella potential (equal to
     -a(1-a)/k at every interface).
     """
-    q: int
     matrix: np.ndarray = field(repr=False)
-    kernel: np.ndarray = field(repr=False)
-    dnv: float = 0.0
 
     def __post_init__(self):
         if np.abs(self.matrix - self.matrix.T).max() > TOLERANCES.matrix_symmetry:
@@ -65,7 +62,7 @@ def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMa
     K = green_kernel_screened(q, pos[:, None] - pos[None, :])
     A = 8.0 * K + 4.0 * shape.dnv * np.eye(2 * k)
     M = 4.0 * np.pi**2 * q**2 * np.eye(2 * k) + gamma * A
-    return LamellaModeMatrix(q, M, K, shape.dnv)
+    return LamellaModeMatrix(M)
 
 
 @dataclass

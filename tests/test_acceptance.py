@@ -233,7 +233,7 @@ def test_a6_thresholds():
 # ---------------------------------------------------------------------------
 
 def test_a7_gamma_limit_constant():
-    c = profile_constant(epsilon_list=(0.04, 0.02), n=2048)
+    c = profile_constant()
     err = abs(c - 8 / 3) / (8 / 3)
     ok1 = err <= 0.01
 

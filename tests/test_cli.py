@@ -10,8 +10,8 @@ import pytest
 
 from okstab.cli import _random_heights, build_parser, dispatch
 from okstab.energy import el_residual, energy, volume_corrected_perturbation
-from okstab.shapes import (Droplet, alpha_distance, boundary_mesh, graph_alpha, lamella,
-                           rasterize, save_shape)
+from okstab.shapes import (Droplet, Lamella, alpha_distance, boundary_mesh, graph_alpha,
+                           lamella, rasterize, save_shape)
 from okstab.torus import make_grid
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -298,6 +298,15 @@ def test_droplet_energy_row_leaves_m_and_k_empty(tmp_path):
     assert row[0] == row[2] == ""
     want = energy(Droplet((0.5, 0.5), 0.25), 1.0, make_grid(2, (32, 32)))
     assert float(row[4]) == want.nonlocal_term
+
+
+def test_one_dimensional_droplet_energy_row_has_a_two_point_perimeter(tmp_path):
+    rc, out = _run(tmp_path, ["energy", "--shape", "droplet", "--center", "0.5",
+                              "--radius", "0.2", "--gamma", "1.0"])
+    assert rc == 0
+    row = Path(out).read_text().splitlines()[-1].split(",")
+    strip = energy(Lamella(k=1, m=4 * 0.2 - 1, axis=0, dim=1), 1.0)
+    assert float(row[3]) == strip.perimeter == 2.0
 
 
 def test_criticality_grid_sets_the_raster(tmp_path):

@@ -11,9 +11,10 @@ from okstab.energy import (EnergyBreakdown, GridPotential, _mode_weights, el_res
                            nonlocal_energy_field, nonlocal_lipschitz_check,
                            optimal_strip_count, strip_disc_crossing,
                            volume_corrected_perturbation)
-from okstab.flow import profile_constant, run_flow
+from okstab.cli import _random_heights
+from okstab.flow import run_flow
 from okstab.shapes import (BoundaryMesh, Droplet, GraphPerturbation, Lamella,
-                           boundary_mesh, lamella, rasterize)
+                           boundary_mesh, lamella, periodic_samples, rasterize)
 from okstab.stability import (assemble_boundary_form, finite_difference_check,
                               lamella_mode_matrix)
 from okstab.torus import ScalarField, ValidationError, make_grid
@@ -262,12 +263,15 @@ def test_bernoulli4_is_the_cosine_series():
     assert np.abs(-np.pi**4 / 3.0 * b4 - series).max() < 1e-14
 
 
-def _random_graph(k, m):
+def _random_graph(k, m, n=16):
+    """A volume-corrected graph perturbation whose psi has 16 random nodes,
+    sampled on n nodes (the same heights, so the same nonlocal term)."""
     base = lamella(k, m)
     rng = np.random.default_rng(10 * k + int(10 * m))
     psi = rng.normal(size=(2 * k, 16))
-    return volume_corrected_perturbation(
+    gp = volume_corrected_perturbation(
         base, 0.2 * base.interface_gap * psi / np.abs(psi).max())
+    return GraphPerturbation(base, periodic_samples(gp.psi, n))
 
 
 def _lateral_row0(hts, n_lat):
@@ -278,17 +282,16 @@ def _lateral_row0(hts, n_lat):
     return float(np.sum(np.abs(c0[1:]) ** 2 / (4.0 * np.pi**2 * q1[1:] ** 2)))
 
 
-@functools.cache
-def _direct_graph_nonlocal(k, m, n_lat, q2_modes):
-    """The graph nonlocal term summed mode by mode with the full weight
-    1 / (4 pi^2 |xi|^2), in blocks of vertical modes; returns the partial
-    sums at each block's end.  Phases are exps of q2 h, tabled once per
-    block offset."""
-    hts = _random_graph(k, m).heights(n_lat)
-    sgn = np.where(np.arange(2 * k) % 2 == 0, 1.0, -1.0)[:, None]
+def _direct_graph_nonlocal(gp, n_lat, q2_modes):
+    """The graph nonlocal term on n_lat lateral nodes summed mode by mode
+    with the full weight 1 / (4 pi^2 |xi|^2), in blocks of vertical modes
+    (512, fewer on more than 256 nodes); returns the partial sums at each
+    block's end.  Phases are exps of q2 h, tabled once per block offset."""
+    hts = gp.heights(n_lat)
+    sgn = np.where(np.arange(len(hts)) % 2 == 0, 1.0, -1.0)[:, None]
     q1 = np.fft.fftfreq(n_lat, d=1.0 / n_lat)
     total = _lateral_row0(hts, n_lat)
-    block = 512
+    block = min(512, 2**17 // n_lat)
     offsets = np.exp(-2j * np.pi * np.arange(block)[:, None, None] * hts)
     partial = {}
     for lo in range(1, q2_modes + 1, block):
@@ -299,6 +302,12 @@ def _direct_graph_nonlocal(k, m, n_lat, q2_modes):
                                     / (4.0 * np.pi**2 * (q1**2 + q2**2))))
         partial[lo + block - 1] = total
     return partial
+
+
+@functools.cache
+def _direct_random_graph_nonlocal(k, m):
+    """_direct_graph_nonlocal of _random_graph(k, m) on 128 nodes to 2^16 modes."""
+    return _direct_graph_nonlocal(_random_graph(k, m), 128, 2**16)
 
 
 def _direct_split_formula(gp, n_lat, q2_max):
@@ -325,40 +334,53 @@ def _direct_split_formula(gp, n_lat, q2_max):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("m", [-0.3, 0.0, 0.2])
 def test_graph_nonlocal_matches_direct_formula(k, m):
-    gp = _random_graph(k, m)
-    # against 2^16 modes of the unsplit sum: at the default cutoff no worse
-    # than the former 2048-mode truncation; each k meets each n_lat once
-    n_lat = {-0.3: 64, 0.0: 127, 0.2: 128}[m]
-    partial = _direct_graph_nonlocal(k, m, n_lat, 2**16)
+    # against 2^16 modes of the unsplit sum on 128 nodes: no worse than the
+    # former 2048-mode truncation, for psi on fewer nodes or on 128
+    n = {-0.3: 16, 0.0: 64, 0.2: 128}[m]
+    partial = _direct_random_graph_nonlocal(k, m)
     want = partial[2**16]
-    assert abs(graph_nonlocal_energy(gp, n_lat) - want) <= abs(partial[2048] - want)
-    # the remainder runs in chunks of _CHUNK_ROWS = 256 rows: cut below, at
-    # and above one and two chunks; n_lat = 1024 makes its rows large
-    for n_lat in (64, 127, 128, 1024):
-        split = _direct_split_formula(gp, n_lat, 513)
-        for q2_modes in (1, 255, 256, 257, 511, 512, 513):
-            got = graph_nonlocal_energy(gp, n_lat, q2_modes)
-            assert abs(got - split[q2_modes - 1]) <= 1e-13 * got, (q2_modes, n_lat)
+    got = graph_nonlocal_energy(_random_graph(k, m, n))
+    assert abs(got - want) <= abs(partial[2048] - want)
+    # the 512-mode remainder, both 256-row chunks, against the split formula
+    # on psi's own nodes: 129 makes the lateral FFT odd, 1024 the rows large
+    for n in (n, 129, 1024):
+        gp = _random_graph(k, m, n)
+        got = graph_nonlocal_energy(gp)
+        assert abs(got - _direct_split_formula(gp, max(n, 128), 512)[-1]) <= 1e-13 * got, n
 
 
 def test_graph_nonlocal_error_falls_with_the_fifth_power_of_the_cutoff():
-    # the remainder weight is ~q2^-6, so doubling q2_modes cuts the error
-    # ~32x; at least 16x is asked for
-    k, m, n_lat = 2, 0.0, 127
-    want = _direct_graph_nonlocal(k, m, n_lat, 2**16)[2**16]
-    errs = [abs(graph_nonlocal_energy(_random_graph(k, m), n_lat, q) - want)
-            for q in (128, 256, 512, 1024)]
+    # the split formula's remainder weight is ~q2^-6, so doubling its cutoff
+    # cuts the error ~32x (at least 16x is asked for): what makes 512 modes
+    # enough for the 2048-mode accuracy of the unsplit sum
+    k, m = 2, -0.3
+    want = _direct_random_graph_nonlocal(k, m)[2**16]
+    split = _direct_split_formula(_random_graph(k, m), 128, 1024)
+    errs = [abs(split[q - 1] - want) for q in (128, 256, 512, 1024)]
     assert all(a >= 16.0 * b for a, b in zip(errs, errs[1:])), errs
 
 
+@pytest.mark.parametrize("modes", [40, 100])
+def test_graph_nonlocal_resolves_psi_on_its_own_nodes(modes):
+    # perturb-test --modes 40 / 100 heights, on 160 / 400 nodes: resolved on
+    # 128 lateral nodes they were 1.3e-6 / 1.2e-4 off the 4096-node value
+    base = lamella(1, 0.0)
+    psi = _random_heights(np.random.default_rng(0), 2, 4 * modes, modes,
+                          0.25 * base.interface_gap)
+    gp = volume_corrected_perturbation(base, psi)
+    want = _direct_graph_nonlocal(gp, 4096, 1024)[1024]    # 1e-10 from converged
+    assert abs(graph_nonlocal_energy(gp) - want) <= 1e-6 * want
+
+
 def test_graph_mode_weights_cached_read_only():
-    gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
-    before = _mode_weights.cache_info().misses
-    graph_nonlocal_energy(gp, 24, 45)
-    graph_nonlocal_energy(gp, 24, 45)
-    assert _mode_weights.cache_info().misses == before + 1
-    w = _mode_weights(24, 45)
-    assert w.shape == (45, 48)
+    # one weight table per lateral node count, psi's own past 128
+    gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 136)))
+    _mode_weights.cache_clear()
+    graph_nonlocal_energy(gp)
+    graph_nonlocal_energy(gp)
+    assert _mode_weights.cache_info().misses == 1
+    w = _mode_weights(136)
+    assert w.shape == (512, 272)
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
 
@@ -380,30 +402,13 @@ def test_graph_nonlocal_allocates_one_chunk_not_the_mode_table():
     assert peak < 2_000_000, peak
 
 
-@pytest.mark.parametrize("kwargs, name", [({"n_lat": 1}, "n_lat"),
-                                          ({"q2_modes": 0}, "q2_modes"),
-                                          ({"q2_modes": -3}, "q2_modes"),
-                                          ({"q2_modes": 2.5}, "q2_modes")])
-def test_graph_energy_rejects_bad_sizes(kwargs, name):
-    gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
-    for fn, args in ((graph_nonlocal_energy, ()), (graph_energy, (1.0,))):
-        with pytest.raises(ValidationError, match=name):
-            fn(gp, *args, **kwargs)
-
-
-_FLAT = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 8)))
-
-
 @pytest.mark.parametrize("call, name", [
     (lambda: run_flow(ScalarField(make_grid(1, (16,)), np.zeros(16)), 0.1, 0.0, 1e-3,
                       max_steps=1.5), "max_steps"),
-    (lambda: graph_nonlocal_energy(_FLAT, n_lat=2.5), "n_lat"),
     (lambda: boundary_mesh(lamella(1, 0.0), 100.5), "n_points"),
     (lambda: finite_difference_check(lamella(1, 0.0), np.zeros((2, 8)), 1.0, t_list=()),
-     "t_list"),
-    (lambda: profile_constant(()), "epsilon_list")],
-    ids=["run_flow", "graph_nonlocal_energy", "boundary_mesh",
-         "finite_difference_check", "profile_constant"])
+     "t_list")],
+    ids=["run_flow", "boundary_mesh", "finite_difference_check"])
 def test_counts_that_are_not_whole_or_empty_are_named(call, name):
     # unchecked, each raises a TypeError or IndexError that names nothing
     with pytest.raises(ValidationError, match=name):

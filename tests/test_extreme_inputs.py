@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from okstab.energy import optimal_strip_count
+from okstab.config import TOLERANCES
+from okstab.energy import graph_energy, lamella_closed_form, optimal_strip_count
 from okstab.flow import run_flow, tanh_profile
-from okstab.shapes import Droplet, Lamella, boundary_mesh
+from okstab.shapes import Droplet, GraphPerturbation, Lamella, boundary_mesh
 from okstab.stability import assemble_boundary_form, constrained_min_eig, stability_threshold_gamma
-from okstab.torus import NumericalError, green_kernel_screened, make_grid
+from okstab.torus import (NumericalError, ValidationError, green_kernel_screened,
+                          make_grid)
 
 sweep = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -77,6 +79,41 @@ def test_threshold_gamma_finite_positive_and_increasing(m, k):
         lo = stability_threshold_gamma(m, k).gamma_c
         hi = stability_threshold_gamma(m, k + 1).gamma_c
     assert math.isfinite(hi) and 0.0 < lo < hi, (lo, hi)
+
+
+def _graph_energy_quietly(base, psi):
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        return graph_energy(GraphPerturbation(base, psi), 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(k=st.integers(1, 3), m=st.floats(-0.95, 0.95),
+       n=log_uniform(math.log10(2), math.log10(2048)).map(round),
+       amp=st.floats(0.0, 0.999), seed=st.integers(0, 2**16))
+@example(k=3, m=0.95, n=2048, amp=0.999, seed=0)
+@example(k=2, m=0.5, n=2048, amp=0.3, seed=3)
+@example(k=3, m=-0.95, n=129, amp=0.999, seed=1)
+@example(k=1, m=-0.95, n=2, amp=0.999, seed=2)
+def test_graph_energy_finite_nonnegative_or_names_the_collision(k, m, n, amp, seed):
+    # white-noise heights on n nodes, up to amp of the 0.45-gap sample guard
+    base = Lamella(k=k, m=m)
+    psi = np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * k, n))
+    guard = TOLERANCES.graph_collision_factor * base.interface_gap
+    try:
+        nl = _graph_energy_quietly(base, amp * guard * psi / np.abs(psi).max()).nonlocal_term
+    except ValidationError as err:
+        assert "collide" in str(err), err
+    else:
+        assert math.isfinite(nl) and nl >= 0.0, nl
+    # a zero psi is the lamella: the B4 double sum cancels from terms of
+    # size k^2/24 down to the closed form, so it keeps a few eps k^2/24 of
+    # rounding (1.2e-12 of the value at k = 3, |m| = 0.95)
+    got = _graph_energy_quietly(base, np.zeros((2 * k, n)))
+    want = lamella_closed_form(k, m, 1.0)
+    assert got.perimeter == want.perimeter
+    bar = 1e-12 * want.nonlocal_term + 3.0 * np.finfo(float).eps * k * k / 24.0
+    assert abs(got.nonlocal_term - want.nonlocal_term) <= bar, (k, m, n)
 
 
 def _check_form_and_eigensolve(mesh, gamma):

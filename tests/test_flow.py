@@ -29,6 +29,18 @@ def test_uniform_state_is_fixed_point():
     assert st.energy == pytest.approx(e0, rel=1e-14)
 
 
+def test_run_state_starts_with_the_flow_and_is_not_set_at_construction():
+    u = ScalarField(make_grid(1, (16,)), np.full(16, 0.25))
+    for name in ("time", "step", "energy_history", "stabilization", "mean0",
+                 "rejections", "stop_reason"):
+        with pytest.raises(TypeError, match=name):
+            FlowState(u, 0.1, 0.0, **{name: None})
+    st = FlowState(u, 0.1, 0.0)
+    assert (st.time, st.step, st.stabilization, st.rejections, st.stop_reason) \
+        == (0.0, 0, 0.0, 0, None)
+    assert st.mean0 == 0.25 and st.energy_history == [(0, 0.0, st.energy)]
+
+
 def test_mass_conserved_exactly():
     rng = np.random.default_rng(0)
     g = make_grid(2, (64, 64))
@@ -154,11 +166,10 @@ def test_step_is_bit_identical_to_four_fft_oracle(sizes, forced):
     uh = np.fft.rfftn(u)
     energies, rejections = [oracle.energy(u, uh)], 0
     for i in range(6):
-        dt = 10.0 if forced and i == 3 else st.dt
         if forced and i == 3:
-            st.stabilization = 1e-12   # undersized shift: explicit blow-up
-        before = st.rejections
-        calls = count_transforms(lambda: flow_step(st, dt=dt))
+            st.dt, st.stabilization = 10.0, 1e-12   # undersized shift: explicit blow-up
+        dt, before = st.dt, st.rejections
+        calls = count_transforms(lambda: flow_step(st))
         assert sum(calls.values()) == 2 + (st.rejections - before)
         u, uh, e1, r = oracle.step(u, uh, st.stabilization, dt, energies[-1])
         energies.append(e1)
@@ -201,8 +212,8 @@ def test_state_holds_the_multipliers_of_its_current_dt_and_shift_only():
         st = FlowState(u, epsilon=0.0625, gamma0=100.0, dt=1e-5)
         for i in range(250):
             if i == 150:
-                st.stabilization = 1e-12     # undersized shift: explicit blow-up
-            flow_step(st, dt=10.0 if i == 150 else None)
+                st.dt, st.stabilization = 10.0, 1e-12   # undersized shift: explicit blow-up
+            flow_step(st)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -254,11 +265,6 @@ def test_profile_constant():
     assert abs(c - 8.0 / 3.0) < 0.01 * 8.0 / 3.0
 
 
-def test_profile_constant_underresolved_rejected():
-    with pytest.raises(ValidationError):
-        profile_constant(epsilon_list=(0.001,), n=256)
-
-
 def test_two_interface_additivity():
     # relaxed k=2 strip energy is twice the k=1 strip energy (4 interfaces
     # vs 2) at the same eps, gamma0 = 0
@@ -307,7 +313,8 @@ def test_step_rejection_halves_dt():
     flow_step(st)  # normal step so the next one skips the refresh
     st.stabilization = 1e-12  # stale/undersized shift -> explicit blow-up
     e_before = st.energy
-    flow_step(st, dt=10.0)
+    st.dt = 10.0
+    flow_step(st)
     assert st.dt < 10.0
     assert st.rejections > 0
     assert st.energy <= e_before + 1e-12
@@ -321,8 +328,9 @@ def test_invalid_parameters():
     with pytest.raises(ValidationError):
         FlowState(u, epsilon=0.1, gamma0=-1.0)
     st = FlowState(u, epsilon=0.1, gamma0=0.0)
+    st.dt = 0.0
     with pytest.raises(ValidationError):
-        flow_step(st, dt=0.0)
+        flow_step(st)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -337,8 +345,10 @@ def test_nonfinite_or_out_of_range_parameter_is_named(name, value):
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         run_flow(u, params["epsilon"], params["gamma0"], params["dt"], 3)
     if name == "dt":
+        st = FlowState(u, 0.1, 0.0)
+        st.dt = value
         with pytest.raises(ValidationError, match="^dt must be"):
-            flow_step(FlowState(u, 0.1, 0.0), dt=value)
+            flow_step(st)
 
 
 @pytest.mark.parametrize("name, value", [

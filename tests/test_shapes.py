@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from okstab.cli import _random_heights
-from okstab.energy import volume_corrected_perturbation
+from okstab.energy import energy, volume_corrected_perturbation
 from okstab.shapes import (Droplet, DropletSet, GraphPerturbation, Lamella,
                            LamellaPotential, _marching_squares_length,
                            alpha_distance, boundary_mesh, graph_alpha,
@@ -171,6 +171,16 @@ def test_perimeter_exact():
     want, _ = quad(lambda t: np.sqrt(1 + (0.02 * np.pi * np.cos(2 * np.pi * t)) ** 2),
                    0, 1, epsabs=1e-13)
     assert abs(got - (1.0 + want)) < 1e-10
+
+
+def test_one_dimensional_droplet_perimeter_counts_two_points():
+    # a 1-D droplet is an interval, whose boundary is two points, like the
+    # two interfaces of the k = 1 lamella of the same volume 2r
+    r = 0.2
+    strip = energy(Lamella(k=1, m=4 * r - 1, axis=0, dim=1), 1.0).perimeter
+    assert perimeter_exact(Droplet((0.5,), r, dim=1)) == strip == 2.0
+    pair = DropletSet((Droplet((0.2,), 0.1, dim=1), Droplet((0.7,), 0.1, dim=1)))
+    assert perimeter_exact(pair) == 2.0 * strip
 
 
 @pytest.mark.parametrize("n0", [15, 16, 64, 2047, 2048])

@@ -17,7 +17,7 @@ from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               lamella_mode_matrix, stability_threshold_gamma,
                               stability_threshold_k)
 from okstab.torus import (NumericalError, ValidationError, green2d_self_regularized,
-                          green_function_2d)
+                          green_function_2d, green_kernel_screened)
 from oracles import (gamma_c_mode_scan, interface_normal_derivative,
                      log_quadrature_per_pair, traced_peak,
                      translation_form_value)
@@ -26,14 +26,14 @@ GAMMA_C_SINGLE_STRIP = 94.87206216585848   # regression value, m=0, k=1
 
 
 def test_mode_matrix_ingredients():
-    mm = lamella_mode_matrix(1, 0.0, 1.0, 0)
-    assert np.allclose(mm.kernel, [[1 / 12, -1 / 24], [-1 / 24, 1 / 12]],
-                       atol=1e-15)
-    assert mm.dnv == pytest.approx(-0.25, abs=1e-15)
-    # K(q)_ii all equal by translation invariance of the pattern
-    mm2 = lamella_mode_matrix(3, 0.2, 2.0, 4)
-    diag = np.diag(mm2.kernel)
-    assert np.ptp(diag) < 1e-15
+    # q = 0, gamma = 1: M = 8 K(0) + 4 dnv I with K(0) the circle kernel at
+    # separations 0 and 1/2, dnv = -a(1-a)/k = -1/4
+    M = lamella_mode_matrix(1, 0.0, 1.0, 0).matrix
+    want = 8.0 * np.array([[1 / 12, -1 / 24], [-1 / 24, 1 / 12]]) - np.eye(2)
+    assert np.allclose(M, want, atol=1e-14)
+    # M(q)_ii all equal by translation invariance of the pattern
+    diag = np.diag(lamella_mode_matrix(3, 0.2, 2.0, 4).matrix)
+    assert np.ptp(diag) <= 1e-15 * np.abs(diag).max()
 
 
 def test_mode_matrix_rejects_a_kernel_that_is_not_even(monkeypatch):
@@ -157,9 +157,12 @@ def test_min_eigenvalue_matches_dense():
 
 
 def _dense_a(k, m, q):
-    """A(q) = 8 K(q) + 4 dnv I, dense, from the mode matrix's ingredients."""
-    mm = lamella_mode_matrix(k, m, 0.0, q)
-    return 8.0 * mm.kernel + 4.0 * mm.dnv * np.eye(2 * k), mm.dnv
+    """A(q) = 8 K(q) + 4 dnv I, dense, from the screened kernel at the
+    interface separations and the lamella's dnv."""
+    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    pos, _ = shape.interfaces()
+    K = green_kernel_screened(q, pos[:, None] - pos[None, :])
+    return 8.0 * K + 4.0 * shape.dnv * np.eye(2 * k), shape.dnv
 
 
 def test_bloch_blocks_match_dense_spectrum():
