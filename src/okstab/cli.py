@@ -18,11 +18,12 @@ import numpy as np
 from . import __version__
 from .config import read_key_values
 from .energy import (_check_gamma, el_residual, energy, graph_energy,
-                     isoperimetric_compare, volume_corrected_perturbation)
+                     isoperimetric_compare, lamella_closed_form,
+                     volume_corrected_perturbation)
 from .flow import run_flow, tanh_profile
-from .shapes import (GraphPerturbation, Lamella, alpha_distance, boundary_mesh,
-                     graph_alpha, load_shape, rasterize, record_to_shape)
-from .stability import (finite_difference_check, lamella_min_eigenvalue,
+from .shapes import (Lamella, alpha_distance, boundary_mesh, graph_alpha, load_shape,
+                     rasterize, record_to_shape)
+from .stability import (K_MAX, finite_difference_check, lamella_min_eigenvalue,
                         stability_threshold_gamma, stability_threshold_k)
 from .torus import NumericalError, ScalarField, ValidationError, make_grid
 
@@ -101,12 +102,11 @@ def cmd_threshold(args):
     else:
         _use_options(args, ("k",), "with --mode k", gamma=1.0)
         _check_gamma(args.gamma)
-        k_max = 200     # stability_threshold_k's default
-        gc = stability_threshold_gamma(args.m, k_max).gamma_c   # M(q) is linear in gamma
+        gc = stability_threshold_gamma(args.m, K_MAX).gamma_c   # M(q) is linear in gamma
         if args.gamma >= gc:
-            raise ValidationError(f"no k0 <= k_max = {k_max}: k = {k_max} is unstable "
-                                  f"from gamma_c(m, {k_max}) = {gc!r} on")
-        rep = stability_threshold_k(args.m, args.gamma, k_max)
+            raise ValidationError(f"no k0 <= k_max = {K_MAX}: k = {K_MAX} is unstable "
+                                  f"from gamma_c(m, {K_MAX}) = {gc!r} on")
+        rep = stability_threshold_k(args.m, args.gamma)
         rows = [(args.m, args.gamma, "k0",
                  rep.k0 if rep.k0 is not None else "none")]
     return "param1,param2,kind,value", rows
@@ -126,8 +126,7 @@ def cmd_perturb_test(args):
     base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
     rng = np.random.default_rng(args.seed)
     n_nodes = 4 * args.modes
-    j0 = graph_energy(GraphPerturbation(base, np.zeros((2 * base.k, n_nodes))),
-                      args.gamma).total
+    j0 = lamella_closed_form(base.k, base.m, args.gamma).total
     rows = []
     for trial in range(args.trials):
         psi = _random_heights(rng, 2 * base.k, n_nodes, args.modes,

@@ -109,10 +109,9 @@ def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
 
 
 def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
-    """Exact energy of the k-strip lamella: 2k + gamma a^2(1-a)^2/(3k^2)."""
-    shape = Lamella(k=k, m=m, axis=0, dim=1)  # validates parameters
-    a = shape.a
-    return EnergyBreakdown(2.0 * k, a * a * (1.0 - a) ** 2 / (3.0 * k * k), gamma)
+    """Exact energy of the k-strip lamella, 2k + gamma a^2(1-a)^2/(3k^2): the
+    `energy` of the 1-D Lamella(k, m), whose potential is exact."""
+    return energy(Lamella(k=k, m=m, axis=0, dim=1), gamma)
 
 
 def optimal_strip_count(m: float, gamma: float) -> int:
@@ -123,8 +122,7 @@ def optimal_strip_count(m: float, gamma: float) -> int:
     falls, E(k) > E(k+1) <=> c (2k+1) > 2 k^2 (k+1)^2, compared in exact
     integers since adjacent energies agree to ~1/k relative."""
     _check_gamma(gamma)
-    a = Lamella(k=1, m=m, axis=0, dim=1).a  # validates m
-    c = gamma * a * a * (1.0 - a) ** 2 / 3.0
+    c = gamma * lamella_closed_form(1, m, 1.0).nonlocal_term
     k_star = float(np.cbrt(c))
     if k_star > 2.0**52:
         raise ValidationError(f"gamma = {gamma!r} puts the optimal strip count near "
@@ -204,9 +202,8 @@ def isoperimetric_compare(m: float, dim: int):
     """
     if dim not in (2, 3):
         raise ValidationError("dim must be 2 or 3")
-    if not -1.0 < m < 1.0:
-        raise ValidationError("m must lie in (-1, 1)")
-    a = min(0.5 * (m + 1.0), 0.5 * (1.0 - m))
+    a = Lamella(k=1, m=m, axis=0, dim=1).a     # validates m
+    a = min(a, 1.0 - a)
     rows = []
     rows.append({"name": "strip", "perimeter": 2.0, "valid": True})
     if dim == 2:
@@ -246,7 +243,7 @@ _CHUNK_ROWS = 256
 GRAPH_NONLOCAL_NODES = 128    # lateral nodes of the graph nonlocal term (psi's own if more)
 
 
-@functools.lru_cache(maxsize=4)     # 1 MB each at 128 nodes
+@functools.lru_cache(maxsize=1)     # 1 MB at 128 nodes, 16.8 MB at 2048
 def _mode_weights(n_lat: int) -> np.ndarray:
     """w - w0 for q2 = 1..DEFAULT_Q2_MODES and the fft order of q1: the weight
     w = 2 / ((pi q2 n_lat)^2 4 pi^2 |xi|^2) less its q1 = 0 value w0, each
@@ -266,9 +263,10 @@ def graph_nonlocal_energy(gp: GraphPerturbation) -> float:
     heights; the lateral direction is resolved spectrally on
     GRAPH_NONLOCAL_NODES nodes, or psi's own if more, so no sample of psi is
     aliased.  The q1 = 0 part of each vertical mode's weight is summed over
-    all modes in closed form, the rest over DEFAULT_Q2_MODES modes (tail
-    ~Q^-5).  Unlike the rasterized pipeline this is differentiable in the
-    heights, which finite-difference energy checks require.
+    all modes in closed form, as the flat lamella's exact value plus what
+    the heights change, the rest over DEFAULT_Q2_MODES modes (tail ~Q^-5).
+    Unlike the rasterized pipeline this is differentiable in the heights,
+    which finite-difference energy checks require.
     """
     n_lat = max(GRAPH_NONLOCAL_NODES, gp.psi.shape[1])
     hts = gp.heights(n_lat)                      # (2k, n_lat)
@@ -282,10 +280,14 @@ def graph_nonlocal_energy(gp: GraphPerturbation) -> float:
     # 1/(i pi q2), 1/n_lat and 1/(4 pi^2 |xi|^2) live in the weights.  Their
     # q1 = 0 part w0 over all q2 is -1/(6 n_lat) sum_x,i,j sgn_i sgn_j B4({h_i - h_j})
     # (Parseval, DLMF 24.8.1), B4(t) = t^2 (1-t)^2 - 1/30; sum_i sgn_i = 0
-    # cancels the 1/30.  The rest, w - w0, is summed mode by mode
-    _, sgn = gp.base.interfaces()
-    d = (hts[:, None] - hts[None]) % 1.0
-    total -= float(sgn @ (d * d * (1.0 - d) ** 2).sum(axis=2) @ sgn) / (6.0 * n_lat)
+    # cancels the 1/30.  At the flat offsets d0 it is the lamella's closed
+    # form, which is taken as is, with B4(d) - B4(d0) summed.  The rest,
+    # w - w0, is summed mode by mode
+    pos, sgn = gp.base.interfaces()
+    d, d0 = ((h[:, None] - h) % 1.0 for h in (hts, pos[:, None]))   # d0 (2k, 2k, 1)
+    b4 = d * d * (1.0 - d) ** 2 - d0 * d0 * (1.0 - d0) ** 2
+    total += (potential(gp.base).dirichlet_energy()
+              - float(sgn @ b4.sum(axis=2) @ sgn) / (6.0 * n_lat))
     z = np.exp(-2j * np.pi * hts.T)              # (n_lat, 2k)
     r_tab = np.cumprod(np.repeat(z[:, :, None], _PHASE_BLOCK, axis=2), axis=2)   # z^r
     zb = r_tab[:, None, :, -1]                   # z^_PHASE_BLOCK, (n_lat, 1, 2k)
@@ -310,6 +312,8 @@ def volume_corrected_perturbation(base: Lamella, psi: np.ndarray) -> GraphPertur
     """Graph perturbation with a constant orientation-signed height shift
     restoring the base volume exactly (volume is linear in the heights)."""
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
+    if psi.shape[0] != 2 * base.k:     # the signed rows below would broadcast
+        raise ValidationError("psi needs one row per interface (2k rows)")
     _, sgn = base.interfaces()
     defect = float((sgn[:, None] * psi).mean(axis=1).sum())
     c = -defect / (2.0 * base.k)

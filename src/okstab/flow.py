@@ -30,26 +30,25 @@ def sharp_gamma_to_gamma0(gamma: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _flow_symbols(grid: TorusGrid, epsilon: float, gamma0: float):
-    """Read-only: the pricing weight (lam + 2 gamma0 L^-1) / N^2 with the zero and
-    (even n) Nyquist columns halved, lam = 2 eps |2 pi xi|^2, 2 gamma0 L^-1."""
+    """Read-only: lam + 2 gamma0 L^-1, lam = 2 eps |2 pi xi|^2, and 2 gamma0 L^-1."""
     lam = 2.0 * epsilon * 4.0 * np.pi**2 * grid.ksq()
     nonlocal_sym = gamma0 * (2.0 * grid.inverse_laplacian())
-    out = np.array([(lam + nonlocal_sym) / grid.num_cells**2, lam, nonlocal_sym])
-    out[0, ..., [0, -1] if grid.sizes[-1] % 2 == 0 else 0] *= 0.5
+    out = np.array([lam + nonlocal_sym, lam, nonlocal_sym])
     out.flags.writeable = False
     return out
 
 
 def diffuse_energy(u: ScalarField, epsilon: float, gamma0: float) -> float:
-    """E_eps(u): the weighted power sum of u's half spectrum plus the well;
-    inf or nan, without a warning, where a term overflows."""
+    """E_eps(u): half the grid's Parseval sum of u's spectrum under
+    lam + 2 gamma0 L^-1, plus the well; inf or nan, without a warning, where
+    a term overflows."""
     if not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not 0 <= gamma0 < np.inf:
         raise ValidationError(f"gamma0 must be nonnegative and finite, got {gamma0!r}")
-    spec, weight = u.spectrum, _flow_symbols(u.grid, epsilon, gamma0)[0]
+    symbol = _flow_symbols(u.grid, epsilon, gamma0)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        quadratic = float(np.vdot(weight, np.square(spec.real) + np.square(spec.imag)))
+        quadratic = 0.5 * u.grid.parseval(symbol, u.spectrum)
         well = np.square(u.values) - 1.0
         return quadratic + float(np.vdot(well, well)) / (epsilon * well.size)
 
@@ -133,8 +132,8 @@ def flow_residual(state: FlowState) -> float:
     """sup |dE/du - mean(dE/du)| of the current iterate, where
     dE/du = -2 eps Lap u + W'(u)/eps + 2 gamma0 v and -Lap v = u - mean(u)."""
     u, g = state.u.values, state.u.grid
-    _, lam, nonlocal_sym = _flow_symbols(g, state.epsilon, state.gamma0)
-    d = g.irfft((lam + nonlocal_sym) * state.u.spectrum) \
+    symbol = _flow_symbols(g, state.epsilon, state.gamma0)[0]
+    d = g.irfft(symbol * state.u.spectrum) \
         + (4.0 / state.epsilon) * u * (u**2 - 1.0)
     return float(np.abs(d - d.mean()).max())
 

@@ -14,6 +14,25 @@ and is the reference the scan and the closed form are tested against.  On
 curves, uniform-parameter nodes make each component's self-panel
 quadrature circulant in i - j, and the arc-length mass is diagonal, so the
 constrained eigensolve whitens by W^(-1/2) and takes one symmetric eigh.
+
+Two facts the closed forms rest on, proved by a lemma of Biernacki and Krzyz
+(Ann. Univ. Mariae Curie-Sklodowska 9, 1955; Ponnusamy and Vuorinen,
+Mathematika 44, 1997): if f = sum f_j t^j and g = sum g_j t^j converge on
+(0, R), g_j > 0 and f_j/g_j increases (decreases) and is not constant,
+then f/g strictly increases (decreases) on (0, R).  With t = x^2,
+D(x) sinh x = 8 a^2 b^2 sum_{n>=2} T_n x^{2n}/(2n)! (see _d_over_cube), and
+sinh(x)/x = sum_j t^j/(2j+1)!.  The increments c^{2(i-1)} of S_i do not
+increase and S_0 = 0, so S_i/i does not increase, and S_{n-1} <= S_n:
+(n-1) S_n/2 <= T_n <= (n-1) S_{n-1}, so n/(n-1) <= T_{n+1}/T_n <= (n+1)/(n-1).
+- Mode q = 1 is critical on the p = 0 branch.  D(x)/x^3 has coefficient
+  ratio r_j = 8 a^2 b^2 T_{j+2} (2j+1)!/(2j+4)!, and r_{j+1}/r_j <=
+  (2j+3)/(2j+5) < 1.  So D(x)/x^3 decreases, and the threshold of mode q,
+  k^3 x^3/D(x) at x = pi q/k, increases in q.
+- gamma_c(m, k) increases in k.  D(x)/x has coefficient ratio
+  8 a^2 b^2 T_n/(2n) at t^(n-1) (T_1 = 0), increasing as T_{n+1}/T_n >=
+  n/(n-1) > (n+1)/n.  So D(x)/x, and D with it, increases in x, and
+  gamma_c = pi^3/D(pi/k) increases in k.
+That p = 0 is the lowest Bloch branch is measured, not proven.
 """
 
 from __future__ import annotations
@@ -24,13 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLERANCES
-from .energy import (_check_gamma, graph_energy, potential,
+from .energy import (_check_gamma, graph_energy, lamella_closed_form, potential,
                      volume_corrected_perturbation)
-from .shapes import BoundaryMesh, GraphPerturbation, Lamella, periodic_samples
+from .shapes import BoundaryMesh, Lamella, periodic_samples
 from .torus import (NumericalError, ValidationError, _check_count,
                     green2d_self_regularized, green_function_2d, green_kernel_screened)
 
 _GREEN_CHUNK = 4096   # node pairs per green_function_2d call (~0.3 MB temporaries)
+K_MAX = 200           # stability_threshold_k scans the strip counts k <= K_MAX
 
 # ---------------------------------------------------------------------------
 # exact lamella mode matrices
@@ -118,9 +138,7 @@ def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
         if 4.0 * np.pi**2 * (q + 1)**2 + gamma * bound > best:
             break
         q += 1
-    return StabilityReport(best, mode, vec,
-                           scan={"q_scanned": q, "bloch_p": bloch_p, "k": k,
-                                 "m": m, "gamma": gamma})
+    return StabilityReport(best, mode, vec, scan={"q_scanned": q, "bloch_p": bloch_p})
 
 
 def _d_over_cube(x: float, a: float) -> float:
@@ -138,34 +156,25 @@ def _d_over_cube(x: float, a: float) -> float:
 def stability_threshold_gamma(m: float, k: int) -> StabilityReport:
     """Threshold gamma_c = pi^3/D(pi/k), D as in _d_over_cube.
 
-    Mode q turns unstable at gamma = 4 pi^2 q^2 / -mu(q).  On the lowest
-    Bloch branch, p = 0, mu(q) = -4 D(pi q/k)/(pi q), and x^3/D(x) increases
-    in x, so q = 1 goes first (both checked on grids, not proven), along the
-    alternating eigenvector (1, -1, ...)/sqrt(2k).
+    Mode q turns unstable at gamma = 4 pi^2 q^2 / -mu(q).  On the Bloch
+    branch p = 0 (the lowest wherever measured), mu(q) = -4 D(pi q/k)/(pi q),
+    and x^3/D(x) increases in x (see the module docstring), so q = 1 goes
+    first, along the alternating eigenvector (1, -1, ...)/sqrt(2k).
     """
     a = Lamella(k=k, m=m, axis=0, dim=1).a    # validates k and m
     gc = float(k) ** 3 / _d_over_cube(np.pi / k, a)
     return StabilityReport(0.0, 1, np.tile([1.0, -1.0], k) / np.sqrt(2 * k), gamma_c=gc,
-                           scan={"bloch_p": 0, "k": k, "m": m, "gamma": gc})
+                           scan={"bloch_p": 0})
 
 
-def stability_threshold_k(m: float, gamma: float, k_max: int = 200) -> StabilityReport:
-    """Smallest k0 <= k_max with positive minimal eigenvalue for every
-    k in [k0, k_max]."""
-    _check_count("k_max", k_max, 1)
+def stability_threshold_k(m: float, gamma: float) -> StabilityReport:
+    """Smallest k0 <= K_MAX with positive minimal eigenvalue for every
+    k in [k0, K_MAX]."""
     eigs = [lamella_min_eigenvalue(k, m, gamma).min_eigenvalue
-            for k in range(1, k_max + 1)]
-    k0 = None
-    for k in range(k_max, 0, -1):
-        if eigs[k - 1] > 0:
-            k0 = k
-        else:
-            break
-    rep = StabilityReport(eigs[(k0 or 1) - 1], "k-scan",
-                          scan={"m": m, "gamma": gamma, "k_max": k_max,
-                                "eigs": eigs})
-    rep.k0 = k0
-    return rep
+            for k in range(1, K_MAX + 1)]
+    last_unstable = max((k for k, e in enumerate(eigs, 1) if not e > 0), default=0)
+    k0 = last_unstable + 1 if last_unstable < K_MAX else None
+    return StabilityReport(eigs[(k0 or 1) - 1], "k-scan", k0=k0, scan={"eigs": eigs})
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +375,7 @@ def finite_difference_check(base: Lamella, psi: np.ndarray, gamma: float,
         raise ValidationError(f"t_list must be steps t > 0 and finite, got {t_list!r}")
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     _, sgn = base.interfaces()
-    j0 = graph_energy(GraphPerturbation(base, 0.0 * psi), gamma).total
+    j0 = lamella_closed_form(base.k, base.m, gamma).total
 
     def j_at(t):
         gp = volume_corrected_perturbation(base, t * psi)

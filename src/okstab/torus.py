@@ -98,12 +98,15 @@ class TorusGrid:
     def parseval(self, symbol: np.ndarray, spec: np.ndarray) -> float:
         """Full-spectrum sum of symbol (re^2 + im^2) / N^2 of a half spectrum,
         symbol even: every last-axis column stands for its conjugate too, bar
-        the zero and (even n) the Nyquist column, which count half as much."""
-        power = np.square(spec.real) + np.square(spec.imag)
+        the zero and (even n) the Nyquist column, which count half as much.
+        Scaled by 1/N^2 before the sum, so a finite sum does not overflow."""
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power *= 2.0 / self.num_cells**2
         power[..., 0] *= 0.5
         if self.sizes[-1] % 2 == 0:
             power[..., -1] *= 0.5
-        return 2.0 * float(np.vdot(symbol, power)) / self.num_cells**2
+        return float(np.vdot(symbol, power))
 
 
 @dataclass(frozen=True)

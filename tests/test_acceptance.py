@@ -202,7 +202,7 @@ def test_a6_thresholds():
             for q in range(1, 31)))
     ok2 = sides[0] > 0 > sides[1]
 
-    krep = stability_threshold_k(0.0, 3 * GAMMA_C, k_max=50)
+    krep = stability_threshold_k(0.0, 3 * GAMMA_C)
     ok3 = (krep.k0 is not None
            and all(e > 0 for e in krep.scan["eigs"][krep.k0 - 1:]))
 

@@ -245,10 +245,18 @@ def test_isoperimetric_3d():
 
 
 def test_graph_nonlocal_matches_closed_form_at_zero():
-    for (k, m) in [(1, 0.0), (2, 0.3), (3, -0.4)]:
-        gp = GraphPerturbation(lamella(k, m), np.zeros((2 * k, 32)))
-        want = lamella_closed_form(k, m, 1.0).nonlocal_term
-        assert abs(graph_nonlocal_energy(gp) - want) < 1e-13 * want
+    # the B4 sum starts from the lamella's closed form and adds what the
+    # heights change; summed whole, it cancelled terms of size k^2/24 down to
+    # the value and was 1.18e-12 off at k = 3, m = -0.95
+    for k in range(1, 6):
+        for m in (-0.95, -0.5, -0.4, 0.0, 0.3, 0.5, 0.95):
+            for n in (32, 200):
+                gp = GraphPerturbation(lamella(k, m), np.zeros((2 * k, n)))
+                got, want = graph_energy(gp, 1.0), lamella_closed_form(k, m, 1.0)
+                assert got.perimeter == want.perimeter
+                for g, w in ((got.nonlocal_term, want.nonlocal_term),
+                             (got.total, want.total)):
+                    assert abs(g - w) <= 2 * np.spacing(w), (k, m, n, (g - w) / w)
 
 
 def test_bernoulli4_is_the_cosine_series():
@@ -373,7 +381,8 @@ def test_graph_nonlocal_resolves_psi_on_its_own_nodes(modes):
 
 
 def test_graph_mode_weights_cached_read_only():
-    # one weight table per lateral node count, psi's own past 128
+    # one weight table per lateral node count, psi's own past 128, and one
+    # table cached
     gp = GraphPerturbation(lamella(1, 0.0), np.zeros((2, 136)))
     _mode_weights.cache_clear()
     graph_nonlocal_energy(gp)
@@ -383,6 +392,13 @@ def test_graph_mode_weights_cached_read_only():
     assert w.shape == (512, 272)
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
+    # one table at a time: a second node count (here the default 128) takes
+    # the place of the first (a 2048-node table is 16.8 MB)
+    graph_nonlocal_energy(GraphPerturbation(lamella(1, 0.0), np.zeros((2, 16))))
+    info = _mode_weights.cache_info()
+    assert info.misses == 2 and info.currsize == 1
+    assert _mode_weights(128).shape == (512, 256)
+    assert _mode_weights.cache_info().hits == info.hits + 1
 
 
 def test_graph_nonlocal_allocates_one_chunk_not_the_mode_table():

@@ -51,8 +51,7 @@ def test_screened_kernel_finite_positive_and_peaked(q, s):
 def _strip_count_oracle(m, gamma):
     """Exact argmin (ties -> smaller k) of 2k + c/k^2 over k* - 2 .. k* + 2,
     with the library's float c taken as an exact rational."""
-    a = Lamella(k=1, m=m, axis=0, dim=1).a
-    c = Fraction(gamma * a * a * (1.0 - a) ** 2 / 3.0)
+    c = Fraction(gamma * lamella_closed_form(1, m, 1.0).nonlocal_term)
     k_star = math.floor(float(np.cbrt(float(c))))
     return min(range(max(1, k_star - 2), k_star + 3), key=lambda k: (2 * k + c / (k * k), k))
 
@@ -106,14 +105,11 @@ def test_graph_energy_finite_nonnegative_or_names_the_collision(k, m, n, amp, se
         assert "collide" in str(err), err
     else:
         assert math.isfinite(nl) and nl >= 0.0, nl
-    # a zero psi is the lamella: the B4 double sum cancels from terms of
-    # size k^2/24 down to the closed form, so it keeps a few eps k^2/24 of
-    # rounding (1.2e-12 of the value at k = 3, |m| = 0.95)
+    # a zero psi is the lamella: the B4 sum starts from its closed form
     got = _graph_energy_quietly(base, np.zeros((2 * k, n)))
     want = lamella_closed_form(k, m, 1.0)
     assert got.perimeter == want.perimeter
-    bar = 1e-12 * want.nonlocal_term + 3.0 * np.finfo(float).eps * k * k / 24.0
-    assert abs(got.nonlocal_term - want.nonlocal_term) <= bar, (k, m, n)
+    assert abs(got.nonlocal_term - want.nonlocal_term) <= 2 * np.spacing(want.nonlocal_term)
 
 
 def _check_form_and_eigensolve(mesh, gamma):

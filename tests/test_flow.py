@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -105,9 +104,10 @@ class _MultiplierOracle:
     form uhat' = A uhat - B what with what = rfftn(u(u^2 - 1)),
     A = (1 + dt S - dt 2 gamma0 L^-1) / (1 + dt (lam + S)), A_0 = 1, and
     B = (4/eps) dt / (1 + dt (lam + S)), B_0 = 0.  Each candidate is built
-    from its spectrum, priced from it by the weight (lam + 2 gamma0 L^-1)/N^2
-    with the zero and (even n) Nyquist columns halved, and once accepted hands
-    it to the next step: 2 real FFTs per accepted step, 1 per rejected
+    from its spectrum, priced from it as half the full-spectrum sum of
+    (lam + 2 gamma0 L^-1) |uhat|^2 / N^2 (the powers scaled first, the zero
+    and (even n) Nyquist columns counted once), and once accepted hands it
+    to the next step: 2 real FFTs per accepted step, 1 per rejected
     candidate."""
 
     def __init__(self, shape, eps, gamma0):
@@ -117,22 +117,23 @@ class _MultiplierOracle:
         inv = np.divide(1.0, 4.0 * np.pi**2 * ksq, out=np.zeros_like(ksq), where=ksq > 0)
         self.lam = 2.0 * eps * 4.0 * np.pi**2 * ksq
         self.nonlocal_sym = gamma0 * (2.0 * inv)
-        self.weight = (self.lam + self.nonlocal_sym) / math.prod(shape)**2
-        self.weight[..., 0] *= 0.5
-        if shape[-1] % 2 == 0:
-            self.weight[..., -1] *= 0.5
+        self.symbol = self.lam + self.nonlocal_sym
         self.shape, self.eps = shape, eps
 
     def irfft(self, a):
         return np.fft.irfftn(a, s=self.shape, axes=tuple(range(len(self.shape))))
 
     def energy(self, u, uh):
+        power = (np.square(uh.real) + np.square(uh.imag)) * (2.0 / u.size**2)
+        power[..., 0] *= 0.5
+        if self.shape[-1] % 2 == 0:
+            power[..., -1] *= 0.5
         well = np.square(u) - 1.0
-        return (float(np.vdot(self.weight, np.square(uh.real) + np.square(uh.imag)))
+        return (0.5 * float(np.vdot(self.symbol, power))
                 + float(np.vdot(well, well)) / (self.eps * u.size))
 
     def residual(self, u, uh):
-        d = (self.irfft((self.lam + self.nonlocal_sym) * uh)
+        d = (self.irfft(self.symbol * uh)
              + (4.0 / self.eps) * u * (u**2 - 1.0))
         return float(np.abs(d - d.mean()).max())
 

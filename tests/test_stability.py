@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from okstab.energy import GridPotential, lamella_closed_form
 from okstab.shapes import (BoundaryMesh, Droplet, DropletSet, GraphPerturbation,
                            Lamella, LamellaPotential, boundary_mesh, lamella,
                            periodic_samples)
-from okstab.stability import (QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
+from okstab.stability import (K_MAX, QuadraticFormMatrix, _bloch_blocks, _bloch_vector,
                               _d_over_cube, _self_panel, assemble_boundary_form,
                               constrained_min_eig, finite_difference_check,
                               lamella_form_value, lamella_min_eigenvalue,
@@ -235,18 +236,45 @@ def _d_direct(x, a):
     return a * b * x - np.sinh(a * x) * np.sinh(b * x) / np.sinh(x)
 
 
+_EXACT_A = (Fraction(1, 7), Fraction(1, 2), Fraction(3, 5), Fraction(9, 10),
+            Fraction(99, 100), 1 - Fraction(1, 10**6))
+
+
+def _t_coefficients(a, n_max):
+    """[T_0 .. T_n_max] of D(x) sinh x = 8 a^2 b^2 sum_{n>=2} T_n x^{2n}/(2n)!,
+    exact: T_n = sum_{j<n} S_j, S_j = sum_{i<j} c^{2i}, c = a - b."""
+    c2, s, t = (2 * a - 1) ** 2, Fraction(0), [Fraction(0)]
+    for n in range(1, n_max + 1):
+        t.append(t[-1] + s)             # T_n = T_{n-1} + S_{n-1}
+        s += c2 ** (n - 1)              # S_n = S_{n-1} + c^{2(n-1)}
+    return t
+
+
 def test_mode_one_is_critical():
-    # gamma_q = (pi q)^3 / D(pi q/k) for the p = 0 branch, so q = 1 turns
-    # unstable first iff x^3/D(x) increases in x: the library's series on
-    # (0, pi], the direct form on [pi, 60], which agree where both hold
-    x_lo = np.linspace(1e-3, np.pi, 400)
-    x_hi = np.linspace(np.pi, 60.0, 400)
-    for a in np.linspace(0.01, 0.99, 99):
-        lo = np.array([1.0 / _d_over_cube(x, a) for x in x_lo])
-        hi = x_hi**3 / _d_direct(x_hi, a)
-        assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0), a
-        assert hi[0] == pytest.approx(lo[-1], rel=1e-12), a
-        mid = np.linspace(1.0, np.pi, 9)
+    # the module docstring's coefficient-ratio inequalities, in exact
+    # rationals for j < 100 (closest to their bounds as a -> 1): the ratio
+    # r_j = T_{j+2} (2j+1)!/(2j+4)! of D(x)/x^3 falls by at least (2j+3)/(2j+5),
+    # so mode 1 is critical, and T_n/(2n) of D(x)/x strictly increases, so
+    # gamma_c increases in k
+    for a in _EXACT_A:
+        t = _t_coefficients(a, 103)
+        r = [t[j + 2] / ((2 * j + 2) * (2 * j + 3) * (2 * j + 4)) for j in range(101)]
+        assert all(r[j + 1] * (2 * j + 5) <= r[j] * (2 * j + 3) for j in range(100)), a
+        assert all(t[n] * (n + 1) < t[n + 1] * n for n in range(1, 101)), a
+        # they are the library's coefficients: its float series at x = 1
+        ab2 = (a * (1 - a)) ** 2
+        d = 8 * ab2 * sum(t[n] / math.factorial(2 * n) for n in range(2, 30))
+        sinh1 = sum(Fraction(1, math.factorial(2 * j + 1)) for j in range(30))
+        assert _d_over_cube(1.0, float(a)) == pytest.approx(float(d / sinh1), rel=1e-14), a
+    # one float spot check: x^3/D(x) increases, the library's series on
+    # (0, pi], the direct form on [pi, 60]; the two forms agree on [1, pi]
+    x_lo, x_hi = np.linspace(1e-3, np.pi, 400), np.linspace(np.pi, 60.0, 400)
+    lo = np.array([1.0 / _d_over_cube(x, 0.3) for x in x_lo])
+    hi = x_hi**3 / _d_direct(x_hi, 0.3)
+    assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
+    assert hi[0] == pytest.approx(lo[-1], rel=1e-12)
+    mid = np.linspace(1.0, np.pi, 9)
+    for a in (0.01, 1 / 7, 0.3, 0.5, 0.9, 0.99):
         assert np.allclose([_d_over_cube(x, a) for x in mid],
                            _d_direct(mid, a) / mid**3, rtol=1e-12, atol=0), a
     # D is the p = 0 eigenvalue of A(q): mu(q) = -4 D(pi q/k)/(pi q)
@@ -318,14 +346,24 @@ def test_small_gamma_always_stable():
 
 
 def test_threshold_k():
-    assert stability_threshold_k(0.0, 0.1, k_max=20).k0 == 1
-    rep = stability_threshold_k(0.0, 3 * GAMMA_C_SINGLE_STRIP, k_max=50)
+    assert stability_threshold_k(0.0, 0.1).k0 == 1
+    rep = stability_threshold_k(0.0, 3 * GAMMA_C_SINGLE_STRIP)
     assert rep.k0 is not None and rep.k0 > 1
+    assert len(rep.scan["eigs"]) == K_MAX == 200
     assert all(e > 0 for e in rep.scan["eigs"][rep.k0 - 1:])
     # k0 nondecreasing in gamma
-    k0s = [stability_threshold_k(0.0, f * GAMMA_C_SINGLE_STRIP, k_max=60).k0
+    k0s = [stability_threshold_k(0.0, f * GAMMA_C_SINGLE_STRIP).k0
            for f in (2.0, 8.0, 32.0)]
     assert k0s[0] <= k0s[1] <= k0s[2]
+
+
+def test_scan_reports_carry_results_not_arguments():
+    # what the caller passed is the caller's; a report keeps what was found
+    assert set(lamella_min_eigenvalue(2, 0.1, 50.0).scan) == {"q_scanned", "bloch_p"}
+    assert set(stability_threshold_gamma(0.1, 2).scan) == {"bloch_p"}
+    assert set(stability_threshold_k(0.1, 300.0).scan) == {"eigs"}
+    form = assemble_boundary_form(boundary_mesh(lamella(1, 0.1), 64), 5.0)
+    assert constrained_min_eig(form).scan == {"n": 128, "n_constraints": 2}
 
 
 def test_boundary_form_reproduces_mode_matrices():
@@ -568,15 +606,6 @@ def test_constrained_min_eig_on_varying_weights():
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: stability_threshold_k(0.0, 300.0, k_max=0), "k_max"),
-    (lambda: stability_threshold_k(0.0, 300.0, k_max=2.5), "k_max"),
-], ids=["k_max=0", "k_max=2.5"])
-def test_threshold_rejects_bad_cap(call, name):
-    with pytest.raises(ValidationError, match=name):
-        call()
-
-
-@pytest.mark.parametrize("call, name", [
     (lambda: stability_threshold_gamma(0.0, 2.5), "k"),
     (lambda: stability_threshold_gamma(0.0, 0.0), "k"),
     (lambda: lamella_closed_form(2.5, 0.0, 1.0), "k"),
@@ -643,6 +672,14 @@ def test_fd_check_generic_and_nyquist_rows(psi):
     # the energy's heights and the form's Parseval weights must agree on it
     rep = finite_difference_check(lamella(1, 0.0), psi, 2.0)
     assert abs(rep.ratio - 1.0) <= 1e-2
+
+
+def test_fd_check_needs_one_row_per_interface():
+    # one row would broadcast over both interfaces of a k = 1 lamella
+    row = 0.01 * np.cos(2 * np.pi * np.arange(8) / 8)
+    for rows in (1, 3):
+        with pytest.raises(ValidationError, match="2k rows"):
+            finite_difference_check(lamella(1, 0.0), np.tile(row, (rows, 1)), 1.0)
 
 
 def test_fd_check_gamma_zero_is_dirichlet():

@@ -32,6 +32,16 @@ def test_make_grid_rejects_sizes_that_are_not_integers():
     assert make_grid(1, (np.int32(12),)).sizes == (12,)
 
 
+def test_parseval_scales_the_powers_before_the_sum():
+    # the mean square of cos(2 pi x) is 1/2, so a constant symbol s sums to
+    # s/2; summed before the 1/N^2 scaling, s = 1e308 overflowed to inf
+    for sizes in ((64,), (24, 30)):
+        g = make_grid(len(sizes), sizes)
+        u = ScalarField(g, np.cos(2 * np.pi * grid_coords(g)[-1]))
+        symbol = np.full(u.spectrum.shape, 1e308)
+        assert g.parseval(symbol, u.spectrum) == pytest.approx(0.5e308, rel=1e-12), sizes
+
+
 def test_poisson_single_mode():
     g = make_grid(1, (1024,))
     x = g.axis_coords(0)
