@@ -123,7 +123,7 @@ def cmd_perturb_test(args):
     _require_at_least(args, trials=1, modes=1)
     if not 0 < args.amplitude < np.inf:
         raise ValidationError(f"--amplitude must be > 0 and finite, got {args.amplitude}")
-    base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
+    base = Lamella(k=args.k, m=args.m)
     rng = np.random.default_rng(args.seed)
     n_nodes = 4 * args.modes
     j0 = lamella_closed_form(base.k, base.m, args.gamma).total
@@ -157,7 +157,7 @@ def _random_heights(rng, n_rows, n_nodes, n_modes, amp):
 
 
 def cmd_fd_check(args):
-    base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
+    base = Lamella(k=args.k, m=args.m)
     n = 64
     for name, low, high in (("interface", 0, 2 * base.k - 1), ("q", 1, n // 2)):
         if not low <= vars(args)[name] <= high:
@@ -189,7 +189,7 @@ def cmd_flow(args):
     elif args.seed is None:
         args.seed = 0
     grid = make_grid(2, (args.grid, args.grid))
-    base = Lamella(k=args.k, m=args.m, axis=-1, dim=2)
+    base = Lamella(k=args.k, m=args.m)
     u0 = tanh_profile(base, grid, args.epsilon)
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)

@@ -111,7 +111,7 @@ def energy(obj, gamma: float, grid: TorusGrid | None = None) -> EnergyBreakdown:
 def lamella_closed_form(k: int, m: float, gamma: float) -> EnergyBreakdown:
     """Exact energy of the k-strip lamella, 2k + gamma a^2(1-a)^2/(3k^2): the
     `energy` of the 1-D Lamella(k, m), whose potential is exact."""
-    return energy(Lamella(k=k, m=m, axis=0, dim=1), gamma)
+    return energy(Lamella(k=k, m=m, dim=1), gamma)
 
 
 def optimal_strip_count(m: float, gamma: float) -> int:
@@ -143,7 +143,6 @@ class CriticalityReport:
     lam: float                       # least-squares Lagrange multiplier
     residual_sup: float
     residual: np.ndarray = field(repr=False)
-    gamma: float = 0.0
 
 
 def el_residual(mesh: BoundaryMesh, gamma: float,
@@ -161,7 +160,7 @@ def el_residual(mesh: BoundaryMesh, gamma: float,
     w = mesh.weights / mesh.weights.sum()
     lam = float(np.sum(w * vals))
     res = vals - lam
-    return CriticalityReport(lam, float(np.abs(res).max()), res, gamma)
+    return CriticalityReport(lam, float(np.abs(res).max()), res)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ def isoperimetric_compare(m: float, dim: int):
     """
     if dim not in (2, 3):
         raise ValidationError("dim must be 2 or 3")
-    a = Lamella(k=1, m=m, axis=0, dim=1).a     # validates m
+    a = Lamella(k=1, m=m, dim=1).a     # validates m
     a = min(a, 1.0 - a)
     rows = []
     rows.append({"name": "strip", "perimeter": 2.0, "valid": True})

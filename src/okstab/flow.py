@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOLERANCES
-from .shapes import Lamella, rasterize
+from .shapes import Lamella
 from .torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
                     _check_count, make_grid)
 
@@ -73,6 +73,9 @@ class FlowState:
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         self.mean0 = self.u.mean()
         e0 = diffuse_energy(self.u, self.epsilon, self.gamma0)   # checks epsilon, gamma0
+        if not np.isfinite(e0):     # every candidate would pass inf <= inf
+            raise ValidationError(f"start energy {e0!r} is not finite at epsilon="
+                                  f"{self.epsilon!r}, gamma0={self.gamma0!r}")
         self.energy_history.append((0, 0.0, e0))
 
     @property
@@ -164,16 +167,15 @@ def run_flow(u0: ScalarField, epsilon: float, gamma0: float, dt: float,
 # ---------------------------------------------------------------------------
 
 def tanh_profile(shape: Lamella, grid: TorusGrid, epsilon: float) -> ScalarField:
-    """Signed-distance tanh profile of a lamella: u = tanh(sdist / eps)."""
-    ind = rasterize(shape, grid)
-    pos, _ = shape.interfaces()
-    z = grid.axis_coords(shape.axis)
-    d = np.abs(z[:, None] - pos[None, :])
-    d = np.minimum(d % 1.0, 1.0 - d % 1.0).min(axis=1)
-    shp = [1] * grid.dim
-    shp[shape.axis] = grid.sizes[shape.axis]
-    dist = np.broadcast_to(d.reshape(shp), grid.sizes)
-    return ScalarField._adopt(grid, np.sign(ind.values) * np.tanh(dist / epsilon))
+    """Signed-distance tanh profile of a lamella: u = tanh(sdist / eps), the
+    distance to the nearest interface along the last axis, signed by its strips."""
+    if shape.dim != grid.dim:
+        raise ValidationError("shape/grid dimension mismatch")
+    z = grid.axis_coords(-1)
+    d = np.abs(z[:, None] - shape.interfaces()[0]) % 1.0
+    d = np.minimum(d, 1.0 - d).min(axis=1)
+    u = np.where(shape.inside(z), 1.0, -1.0) * np.tanh(d / epsilon)
+    return ScalarField._adopt(grid, np.broadcast_to(u, grid.sizes).copy())
 
 
 def profile_constant() -> float:
@@ -183,7 +185,7 @@ def profile_constant() -> float:
     grid, eps_pair = make_grid(1, (2048,)), (0.04, 0.02)
     costs = []
     for eps in eps_pair:
-        u0 = tanh_profile(Lamella(k=1, m=0.0, axis=0, dim=1), grid, eps)
+        u0 = tanh_profile(Lamella(k=1, m=0.0, dim=1), grid, eps)
         st = run_flow(u0, eps, 0.0, dt=eps * 1e-2, max_steps=4000,
                       stop_tol=1e-8)
         costs.append(0.5 * st.energy)

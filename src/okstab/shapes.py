@@ -23,10 +23,11 @@ from .torus import (ScalarField, TorusGrid, ValidationError, _check_count,
 
 @dataclass(frozen=True)
 class Lamella:
-    """k equally spaced strips along `axis`, volume parameter m in (-1, 1).
+    """k equally spaced strips normal to the last axis, volume parameter m in (-1, 1).
 
-    Strip i occupies [ (i-1)/k, (i-1)/k + a/k ] along the axis, a = (m+1)/2.
-    """
+    Strip i occupies [ (i-1)/k, (i-1)/k + a/k ] along that axis, a = (m+1)/2.
+    Axis permutations of the torus map any strip orientation onto this one,
+    so `axis` only names the last axis: -1 or dim - 1, kept as dim - 1."""
     k: int
     m: float
     axis: int = -1
@@ -34,14 +35,18 @@ class Lamella:
 
     def __post_init__(self):
         _check_count("strip count k", self.k, 1)
+        _check_count("lamella dim", self.dim, 1)
         if not -1.0 < self.m < 1.0:
             raise ValidationError("m must lie in (-1, 1)")
-        a = self.a
-        if a <= 0.0 or a >= 1.0:
+        if not 0.0 < self.a < 1.0:
             raise ValidationError("degenerate strip width")
-        if not -self.dim <= self.axis < self.dim:
-            raise ValidationError(f"axis must lie in [-{self.dim}, {self.dim}), got {self.axis!r}")
-        object.__setattr__(self, "axis", self.axis % self.dim)
+        if self.axis not in (-1, self.dim - 1):
+            raise ValidationError(f"axis must be the last, -1 or {self.dim - 1}, got {self.axis!r}")
+        object.__setattr__(self, "axis", self.dim - 1)
+
+    def inside(self, x):
+        """Whether points x along the last axis lie in a strip."""
+        return (x * self.k) % 1.0 < self.a
 
     @property
     def a(self) -> float:
@@ -70,12 +75,15 @@ class Lamella:
 
 @dataclass(frozen=True)
 class Droplet:
-    """Ball of radius r < 1/2 around `center` (periodic distance)."""
+    """Ball of radius r < 1/2 around `center` (periodic distance), in its dimension."""
     center: tuple
     radius: float
-    dim: int = 2
+    dim: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if self.dim is None:
+            object.__setattr__(self, "dim", len(self.center))
         if not 0.0 < self.radius < 0.5:
             raise ValidationError("droplet radius must lie in (0, 1/2)")
         if len(self.center) != self.dim:
@@ -139,9 +147,7 @@ class GraphPerturbation:
         if gap <= 0.0:
             raise ValidationError(f"interpolated interfaces collide: least gap {gap:.3g}")
 
-    @property
-    def dim(self):
-        return 2
+    dim = 2
 
     def heights(self, n: int) -> np.ndarray:
         """Interface heights (2k, n) resampled to n lateral nodes."""
@@ -155,8 +161,7 @@ ShapeConfig = Lamella | Droplet | DropletSet | GraphPerturbation
 GRAPH_NODES = 2048
 
 
-def lamella(k: int, m: float, axis: int = -1, dim: int = 2) -> Lamella:
-    return Lamella(k=k, m=m, axis=axis, dim=dim)
+lamella = Lamella     # lamella(k, m): the type owns the defaults
 
 
 def _torus_dist(x, y):
@@ -194,11 +199,7 @@ def rasterize(shape: ShapeConfig, grid: TorusGrid) -> ScalarField:
     if shape.dim != grid.dim:
         raise ValidationError("shape/grid dimension mismatch")
     if isinstance(shape, Lamella):
-        z = (grid.axis_coords(shape.axis) * shape.k) % 1.0
-        inside1d = z < shape.a
-        shp = [1] * grid.dim
-        shp[shape.axis] = grid.sizes[shape.axis]
-        inside = np.broadcast_to(inside1d.reshape(shp), grid.sizes)
+        inside = np.broadcast_to(shape.inside(grid.axis_coords(-1)), grid.sizes)
     elif isinstance(shape, Droplet):
         inside = _droplet_mask(shape, grid)
     elif isinstance(shape, DropletSet):
@@ -222,13 +223,10 @@ def _droplet_mask(d: Droplet, grid: TorusGrid):
 
 
 def _graph_mask(gp: GraphPerturbation, grid: TorusGrid):
-    ax = gp.base.axis
-    lat = 1 - ax  # lateral axis in 2D
-    pos, _ = gp.base.interfaces()     # heights at the lateral cell centres
-    hts = pos[:, None] + periodic_samples(gp.psi, grid.sizes[lat], offset=0.5)
-    b, t = hts[0::2, :, None], hts[1::2, :, None]     # (k, n_lat, 1)
-    inside = ((grid.axis_coords(ax) - b) % 1.0 < (t - b) % 1.0).any(axis=0)
-    return inside if ax == 1 else inside.T
+    pos, _ = gp.base.interfaces()     # heights at the lateral (axis 0) cell centres
+    hts = pos[:, None] + periodic_samples(gp.psi, grid.sizes[0], offset=0.5)
+    b, t = hts[0::2, :, None], hts[1::2, :, None]     # (k, n0, 1)
+    return ((grid.axis_coords(1) - b) % 1.0 < (t - b) % 1.0).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +376,11 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
     if shape.dim != 2:
         raise ValidationError("boundary meshes are 2D only")
     t = np.arange(n_points) / n_points
-
-    def along(xy, axis):    # (lateral, axis) columns in (x0, x1) order
-        return xy if axis == 1 else xy[:, ::-1]
-
+    # a lamella's interfaces are graphs over axis 0: points (t, height)
     if isinstance(shape, Lamella):
         pos, sgn = shape.interfaces()
-        parts = [(along(np.stack([t, np.full_like(t, s0)], axis=1), shape.axis),
-                  along(np.stack([np.zeros_like(t), np.full_like(t, sg)], axis=1),
-                        shape.axis),
+        parts = [(np.stack([t, np.full_like(t, s0)], axis=1),
+                  np.stack([np.zeros_like(t), np.full_like(t, sg)], axis=1),
                   np.zeros(n_points), np.ones(n_points)) for s0, sg in zip(pos, sgn)]
     elif isinstance(shape, Droplet):
         th = 2.0 * np.pi * t
@@ -401,9 +395,8 @@ def boundary_mesh(shape: ShapeConfig, n_points: int = 256) -> BoundaryMesh:
         # H = div_tau(nu) = -sg * h'' / (1 + h'^2)^{3/2} for the outward
         # normal (checks out against +1/r on a circle)
         kap = -sgn[:, None] * d2psi / root**3
-        parts = [(along(np.stack([t, (s0 + psi[j]) % 1.0], axis=1), shape.base.axis),
-                  along(np.stack([-dpsi[j], np.ones(n_points)], axis=1)
-                        * (sg / root[j])[:, None], shape.base.axis),
+        parts = [(np.stack([t, (s0 + psi[j]) % 1.0], axis=1),
+                  np.stack([-dpsi[j], np.ones(n_points)], axis=1) * (sg / root[j])[:, None],
                   kap[j], root[j]) for j, (s0, sg) in enumerate(zip(pos, sgn))]
     else:
         raise ValidationError(f"no boundary mesh for {type(shape)}")
@@ -443,7 +436,7 @@ class LamellaPotential:
         return -2.0 * green_kernel_screened(0, self._offsets(x)) @ self._sgn
 
     def on_mesh(self, mesh: BoundaryMesh) -> np.ndarray:
-        return self.v(mesh.points[:, self.shape.axis])
+        return self.v(mesh.points[:, -1])
 
     def dnv_on_mesh(self, mesh: BoundaryMesh) -> float:
         """Outward normal derivative of v on the mesh: the same at every node."""

@@ -77,7 +77,7 @@ def lamella_mode_matrix(k: int, m: float, gamma: float, q: int) -> LamellaModeMa
     mode scan works on the Bloch blocks of A(q) and is checked against it."""
     _check_count("q", q, 0)
     _check_gamma(gamma)
-    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    shape = Lamella(k=k, m=m, dim=1)
     pos, _ = shape.interfaces()
     K = green_kernel_screened(q, pos[:, None] - pos[None, :])
     A = 8.0 * K + 4.0 * shape.dnv * np.eye(2 * k)
@@ -122,7 +122,7 @@ def lamella_min_eigenvalue(k: int, m: float, gamma: float) -> StabilityReport:
     mu(q) = 8 min_p (alpha_p - |beta_p|) + 4 dnv the lowest eigenvalue of A(q).
     """
     _check_gamma(gamma)
-    shape = Lamella(k=k, m=m, axis=0, dim=1)
+    shape = Lamella(k=k, m=m, dim=1)
     a, dnv = shape.a, shape.dnv
     best, q = np.inf, 1
     while True:
@@ -161,7 +161,7 @@ def stability_threshold_gamma(m: float, k: int) -> StabilityReport:
     and x^3/D(x) increases in x (see the module docstring), so q = 1 goes
     first, along the alternating eigenvector (1, -1, ...)/sqrt(2k).
     """
-    a = Lamella(k=k, m=m, axis=0, dim=1).a    # validates k and m
+    a = Lamella(k=k, m=m, dim=1).a    # validates k and m
     gc = float(k) ** 3 / _d_over_cube(np.pi / k, a)
     return StabilityReport(0.0, 1, np.tile([1.0, -1.0], k) / np.sqrt(2 * k), gamma_c=gc,
                            scan={"bloch_p": 0})

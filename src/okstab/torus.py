@@ -33,20 +33,22 @@ def _wavenumbers(n: int, half: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on T^dim, unit total volume."""
+    """Uniform periodic grid on T^dim, unit total volume, its sizes kept as int tuples."""
 
     dim: int
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim in (1, 2, 3)):
+            raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        for n in self.sizes:     # int() would truncate 64.5 to 64
+            if not isinstance(n, (int, np.integer)):
+                raise ValidationError(f"sizes must be integers, got {tuple(self.sizes)!r}")
+            if n < MIN_GRID_SIZE:
+                raise ValidationError(f"grid size {n} under-resolved (minimum {MIN_GRID_SIZE})")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if len(self.sizes) != self.dim:
             raise ValidationError("sizes must have one entry per axis")
-        for n in self.sizes:
-            if n < MIN_GRID_SIZE:
-                raise ValidationError(
-                    f"grid size {n} under-resolved (minimum {MIN_GRID_SIZE})")
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -170,24 +172,27 @@ def _check_count(name: str, value, low: int):
 
 
 def make_grid(dim: int, sizes) -> TorusGrid:
-    """Build a periodic grid; rejects sizes that are not integers or are
-    under-resolved."""
-    if not all(isinstance(n, (int, np.integer)) for n in sizes):
-        raise ValidationError(f"sizes must be integers, got {tuple(sizes)!r}")
-    return TorusGrid(dim, tuple(int(n) for n in sizes))
+    """Build a periodic grid: TorusGrid(dim, sizes)."""
+    return TorusGrid(dim, sizes)
 
 
 def solve_poisson_periodic(f: ScalarField) -> ScalarField:
     """Solve -Lap v = f on the torus with mean(v) = 0.
 
     Fourier coefficients are divided by 4 pi^2 |xi|^2; the zero mode is set
-    to exactly 0.  The source must be mean-zero.
+    to exactly 0.  The source must be mean-zero.  A source whose sum or
+    transform overflows is a NumericalError that names its size.
     """
-    if abs(f.mean()) > TOLERANCES.mean_zero * max(1.0, float(np.abs(f.values).max())):
+    g, peak = f.grid, float(np.abs(f.values).max())
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is named below
+        mean, spec = f.mean(), f.spectrum
+    if not (np.isfinite(mean) and np.isfinite(spec).all()):
+        raise NumericalError(f"source of max |f| = {peak:.3e} overflows its sum or transform;"
+                             " v is linear in f, so solve for f scaled down and scale v up")
+    if abs(mean) > TOLERANCES.mean_zero * max(1.0, peak):
         raise ValidationError(
-            f"source must be mean-zero (mean = {f.mean():.3e}); subtract the mean first")
-    g = f.grid
-    return ScalarField._from_spectrum(g, f.spectrum * g.inverse_laplacian())
+            f"source must be mean-zero (mean = {mean:.3e}); subtract the mean first")
+    return ScalarField._from_spectrum(g, spec * g.inverse_laplacian())
 
 
 def dirichlet_energy(v: ScalarField) -> float:
@@ -292,11 +297,11 @@ def green_function_2d(x, y):
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("x and y must be finite coordinates")
-    d = x - y
+    d = (x - np.trunc(x)) - (y - np.trunc(y))   # exact fmod 1 first: x - y may overflow
     d -= np.round(d)                        # |z| <= sqrt(2)/2
     r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    if not np.all(r2 > 0):
-        raise ValidationError("Green function evaluated at coincident points")
+    if not np.all(r2 > 0):     # |z|^2 underflows to 0 for |z| under 1.6e-162
+        raise ValidationError("Green function evaluated at coincident points (mod 1)")
     w = np.square(d[..., 0] + 1j * d[..., 1])
     w *= w                                  # z^4
     series = np.zeros_like(w)

@@ -16,6 +16,9 @@ from okstab.torus import make_grid
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
+# each README command's CSV, as written when the file was made; a change
+# that moves one regenerates it and says why
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _readme_commands():
@@ -160,10 +163,13 @@ def test_bad_shape_option_is_one_error_line(capsys):
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: " ".join(a[:3]))
 def test_readme_example_echoes_every_option(argv, tmp_path, monkeypatch):
+    # ... and writes its CSV byte for byte as tests/golden/<n>-<subcommand>.csv
     monkeypatch.chdir(tmp_path)
     save_shape(Droplet((0.3, 0.4), 0.2), "a.shape")
     save_shape(Droplet((0.6, 0.5), 0.22), "b.shape")
     assert dispatch(argv + ["--out", "out.csv"]) == 0
+    golden = GOLDEN / f"{_readme_commands().index(argv)}-{argv[0]}.csv"
+    assert Path("out.csv").read_bytes() == golden.read_bytes(), golden.name
     with open("out.csv") as fh:
         echoed = {line[2:].rstrip("\n") for line in fh if line.startswith("# ")}
     options = vars(build_parser().parse_args(argv))

@@ -20,8 +20,10 @@ from okstab.energy import graph_energy, lamella_closed_form, optimal_strip_count
 from okstab.flow import run_flow, tanh_profile
 from okstab.shapes import Droplet, GraphPerturbation, Lamella, boundary_mesh
 from okstab.stability import assemble_boundary_form, constrained_min_eig, stability_threshold_gamma
-from okstab.torus import (NumericalError, ValidationError, green_kernel_screened,
-                          make_grid)
+from okstab.torus import (NumericalError, ScalarField, TorusGrid, ValidationError,
+                          green2d_self_regularized, green_function_2d,
+                          green_kernel_screened, make_grid, solve_poisson_periodic)
+from oracles import green2d_screened
 
 sweep = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -185,3 +187,110 @@ def test_flow_at_any_step_size_steps_or_names_its_quantities(gamma0, dt):
             assert "(tolerance 1e-12)" in str(err) and f"gamma0={gamma0!r}" in str(err)
         else:
             assert all(math.isfinite(e) for (_, _, e) in st.energy_history)
+
+
+def _quietly(fn, *args):
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+def _torus_offset(x, y) -> np.ndarray:
+    """x - y folded into [-1/2, 1/2]^2 in exact rational arithmetic, rounded once."""
+    return np.array([float((Fraction(a) - Fraction(b) + Fraction(1, 2)) % 1 - Fraction(1, 2))
+                     for a, b in zip(x, y)])
+
+
+_COORDS = st.tuples(st.floats(), st.floats())      # every float, inf and nan too
+
+
+@sweep
+@given(x=_COORDS, y=_COORDS)
+@example(x=(1e308, 0.1), y=(-1e308, 0.2))     # x - y overflowed: "coincident points"
+@example(x=(-1.7976931348623157e308, 0.75), y=(1.7976931348623157e308, 0.25))
+@example(x=(-1e-20, 0.5), y=(0.0, 0.5))       # 1e-20 apart across the seam
+@example(x=(4.36e-40, 0.0), y=(-7.9e-77, 0.0))
+@example(x=(1e20, 0.5), y=(0.3, 0.5))         # x - y would round away y's 0.3
+@example(x=(3.0, 0.5), y=(-7.0, 0.5))
+@example(x=(0.25, float("nan")), y=(0.5, 0.5))
+@example(x=(0.0, 0.0), y=(0.0, 2.7e-280))     # |z|^2 underflows: named as coincident
+@example(x=(1.0 - 2.0**-53, 0.5), y=(-2.0**-54, 0.5))   # rounds away across the seam
+@example(x=(0.0, 0.0), y=(0.0, 1e-150))       # |z|^2 is subnormal
+def test_green_function_finite_or_names_the_coincidence(x, y):
+    if not np.isfinite(x + y).all():
+        with pytest.raises(ValidationError, match="finite coordinates"):
+            _quietly(green_function_2d, x, y)
+        return
+    d = _torus_offset(x, y)
+    r = float(np.hypot(*d))
+    try:
+        g = _quietly(green_function_2d, x, y)
+    except ValidationError as err:
+        # a torus offset under an ulp of 2 may round away where x - y crosses
+        # the seam, and |z|^2 underflows to 0 under 1.6e-162
+        assert "coincident" in str(err) and r < 2.3e-16, (r, err)
+        return
+    assert math.isfinite(g)
+    if r >= 0.05:      # the lateral-mode oracle cancels nearer in
+        assert abs(g - green2d_screened(d, 0.0 * d)) <= 1e-14
+    else:              # G = -log r / (2 pi) + H0 + O(r^2); x - y rounds by 2.3e-16
+        assert abs(g + math.log(r) / (2 * math.pi) - green2d_self_regularized()) \
+            <= r * r + 1e-14 + 1e-16 / r
+
+
+@sweep
+@given(amp=st.floats(0.0, 1.7976931348623157e308),
+       sizes=st.sampled_from([(16,), (16, 12), (9, 8, 10)]), seed=st.integers(0, 2**16),
+       dipole=st.booleans())
+@example(amp=1e308, sizes=(16, 12), seed=0, dipole=True)   # once "field contains non-finite values"
+@example(amp=1.7976931348623157e308, sizes=(16, 12), seed=1, dipole=False)
+@example(amp=5e-324, sizes=(16,), seed=2, dipole=True)
+def test_poisson_solve_finite_and_linear_or_names_the_overflow(amp, sizes, seed, dipole):
+    # a +-amp dipole on two seeded cells, or seeded noise of peak amp less its
+    # mean; v is linear in f, so it is amp times the solve for the unit source
+    grid = make_grid(len(sizes), sizes)
+    rng = np.random.default_rng(seed)
+    unit = np.zeros(grid.num_cells)
+    if dipole:
+        unit[rng.choice(grid.num_cells, 2, replace=False)] = (1.0, -1.0)
+    else:
+        unit = rng.standard_normal(grid.num_cells)
+        unit = (unit - unit.mean()) / np.abs(unit - unit.mean()).max()
+    unit = unit.reshape(grid.sizes)
+    try:
+        v = _quietly(solve_poisson_periodic, ScalarField(grid, amp * unit))
+    except NumericalError as err:
+        assert f"max |f| = {np.abs(amp * unit).max():.3e}" in str(err), err
+        assert amp > 1e306, amp     # only a source near float range overflows
+        return
+    assert np.isfinite(v.values).all()
+    want = solve_poisson_periodic(ScalarField(grid, unit)).values
+    if amp >= 1e-290:  # below that v's values are subnormal, and lose digits
+        assert np.abs(v.values / amp - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_SIZE = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.sampled_from(
+    [np.int64(16), np.int32(8), np.uint8(9), True, "16", None, 16.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dim=st.one_of(st.integers(-2, 5), st.sampled_from([2.0, np.int64(2), None])),
+       sizes=st.lists(_SIZE, max_size=4), as_list=st.booleans())
+@example(dim=2, sizes=[64.5, 64], as_list=False)  # once a grid of 4128.0 cells
+@example(dim=2, sizes=[64, 64], as_list=True)     # once a grid ksq() could not hash
+@example(dim=3, sizes=[2**70, 8, 8], as_list=False)
+def test_grid_is_built_normalised_or_names_its_sizes(dim, sizes, as_list):
+    args = (dim, sizes if as_list else tuple(sizes))
+    ok_dim = isinstance(dim, (int, np.integer)) and dim in (1, 2, 3)
+    ok_sizes = all(isinstance(n, (int, np.integer)) and n >= 8 for n in sizes)
+    for build in (TorusGrid, make_grid):
+        if not (ok_dim and ok_sizes and len(sizes) == dim):
+            with pytest.raises(ValidationError, match="dim must be" if not ok_dim else "size"):
+                _quietly(build, *args)
+            continue
+        grid = _quietly(build, *args)
+        assert grid.sizes == tuple(int(n) for n in sizes)
+        assert all(type(n) is int for n in grid.sizes)
+        twin = TorusGrid(int(dim), tuple(int(n) for n in sizes))
+        assert grid == twin and hash(grid) == hash(twin)
+        assert grid.num_cells == math.prod(grid.sizes) and 0.0 < grid.cell_volume <= 1.0 / 8

@@ -334,6 +334,29 @@ def test_invalid_parameters():
         flow_step(st)
 
 
+def test_start_at_infinite_energy_is_rejected_not_stepped():
+    # one cell at 1e80 puts the well term past float range; every candidate
+    # then passed inf <= inf, and the flow stepped with no rejection
+    values = np.zeros((16, 16))
+    values[3, 5] = 1e80
+    u = ScalarField(make_grid(2, (16, 16)), values)
+    msg = r"^start energy inf is not finite at epsilon=0\.1, gamma0=1\.0$"
+    with pytest.raises(ValidationError, match=msg):
+        FlowState(u, 0.1, 1.0)
+    with pytest.raises(ValidationError, match=msg):
+        run_flow(u, 0.1, 1.0, 1e-4, 3)
+
+
+def test_tanh_profile_is_signed_by_the_strips_and_checks_the_grid():
+    g = make_grid(2, (48, 40))
+    shape = lamella(3, 0.2)
+    u = tanh_profile(shape, g, 0.05)
+    assert np.array_equal(np.sign(u.values), rasterize(shape, g).values)
+    assert np.array_equal(u.values, np.broadcast_to(u.values[:1], g.sizes))
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        tanh_profile(shape, make_grid(1, (40,)), 0.05)
+
+
 @pytest.mark.parametrize("name, value", [
     ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),
     ("gamma0", float("nan")), ("gamma0", float("inf")), ("gamma0", -1.0),

@@ -46,9 +46,11 @@ def test_lamella_validation():
         DropletSet((Droplet((0.3, 0.3), 0.2), Droplet((0.4, 0.4), 0.2)))
 
 
-@pytest.mark.parametrize("axis, dim", [(5, 2), (2, 2), (-3, 2), (9, 2), (1, 1), (3, 3)])
+@pytest.mark.parametrize("axis, dim", [(5, 2), (2, 2), (-3, 2), (9, 2), (1, 1), (3, 3),
+                                       (0, 2), (-2, 2), (1, 3)])
 def test_lamella_axis_out_of_range_is_named(axis, dim):
-    # axis % dim once turned axis=5 (or a shape file's axis=9) into axis 1
+    # axis % dim once turned axis=5 (or a shape file's axis=9) into axis 1;
+    # strips lie normal to the last axis, so any other axis is rejected
     with pytest.raises(ValidationError, match="axis"):
         Lamella(k=1, m=0.0, axis=axis, dim=dim)
     with pytest.raises(ValidationError, match="axis"):
@@ -57,10 +59,31 @@ def test_lamella_axis_out_of_range_is_named(axis, dim):
 
 
 def test_lamella_axis_in_range_is_kept_nonnegative():
-    for axis, want in ((-2, 0), (-1, 1), (0, 0), (1, 1)):
-        assert Lamella(k=1, m=0.0, axis=axis, dim=2).axis == want
+    for axis, dim, want in ((-1, 2, 1), (1, 2, 1), (-1, 1, 0), (0, 1, 0), (-1, 3, 2), (2, 3, 2)):
+        assert Lamella(k=1, m=0.0, axis=axis, dim=dim).axis == want
         assert record_to_shape({"kind": "lamella", "k": "1", "m": "0.0",
-                                "axis": str(axis)}).axis == want
+                                "axis": str(axis), "dim": str(dim)}).axis == want
+
+
+def test_droplet_dimension_is_its_centers():
+    assert Droplet((0.5, 0.5, 0.5), 0.2).dim == 3
+    assert Droplet((0.5,), 0.2).dim == 1
+    assert Droplet((0.5, 0.5), 0.2, dim=2) == Droplet((0.5, 0.5), 0.2)
+    with pytest.raises(ValidationError, match="center dimension"):
+        Droplet((0.5, 0.5), 0.2, dim=3)
+    with pytest.raises(ValidationError, match="center dimension"):
+        record_to_shape({"kind": "droplet", "center": "0.5,0.5", "radius": "0.2",
+                         "dim": "3"})
+
+
+def test_droplet_center_is_kept_as_a_float_tuple(tmp_path):
+    # an array center once reached the file as "np.float64(0.3),...", which
+    # load_shape rejected, and a list center left the droplet unhashable
+    d = Droplet(np.array([0.3, 0.4]), 0.2)
+    assert d == Droplet([0.3, 0.4], 0.2) and hash(d) == hash(Droplet((0.3, 0.4), 0.2))
+    assert all(type(c) is float for c in d.center)
+    save_shape(d, tmp_path / "d.shape")
+    assert load_shape(tmp_path / "d.shape") == d
 
 
 def test_rasterize_alphabet_and_mean():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from okstab import torus
-from okstab.torus import (ScalarField, ValidationError, _wavenumbers,
+from okstab.torus import (ScalarField, TorusGrid, ValidationError, _wavenumbers,
                           dirichlet_energy, green2d_self_regularized,
                           green_function_2d, green_kernel_screened, make_grid,
                           solve_poisson_periodic, trig_interpolate)
@@ -30,6 +30,20 @@ def test_make_grid_rejects_sizes_that_are_not_integers():
             make_grid(2, sizes)
     assert make_grid(2, np.array([16, 24])).sizes == (16, 24)
     assert make_grid(1, (np.int32(12),)).sizes == (12,)
+
+
+def test_grid_checks_and_normalises_its_own_sizes():
+    # the constructor once took (64.5, 64) for a grid of 4128.0 cells, and
+    # kept a list, so that ksq() could not hash the grid
+    with pytest.raises(ValidationError, match="sizes"):
+        TorusGrid(2, (64.5, 64))
+    grid = TorusGrid(2, [64, np.int64(64)])
+    assert grid == make_grid(2, (64, 64)) and hash(grid) == hash(make_grid(2, (64, 64)))
+    assert grid.sizes == (64, 64) and all(type(n) is int for n in grid.sizes)
+    assert grid.ksq().shape == (64, 33)
+    for dim in (2.0, "2", 0, 4):
+        with pytest.raises(ValidationError, match="dim must be"):
+            TorusGrid(dim, (16, 16))
 
 
 def test_parseval_scales_the_powers_before_the_sum():
